@@ -17,9 +17,13 @@ The calculus implemented on top of that representation:
 
 All evaluations are exact for the piecewise-linear interpolant of the
 samples: infima of affine-in-v objectives over a polyhedral function are
-attained at grid vertices, so the O(N*M) scans below incur no discretization
-error beyond the interpolant itself.  Results are deterministic; no state is
-shared between calls.
+attained at grid vertices, so there is no discretization error beyond the
+interpolant itself.  Conjugation and biconjugation go through the upper
+concave hull of the samples (g* = (hull g)*) and cost O(N + M log N), after
+Lucet's linear-time Legendre transform; sup-convolution of concave inputs
+merges the two hulls' slope sequences, and only non-concave inputs to it
+fall back to a scan over vertex splits.  Results are deterministic; no state
+is shared between calls.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import (
 
 NEG_INFINITY = -np.inf
 
-# Output block size for the conjugate scans, keeps peak memory near 16 MB.
+# Row block size for the sup-convolution scan, keeps peak memory near 16 MB.
 _BLOCK = 1024
 
 
@@ -189,35 +193,36 @@ def _finite_part(g: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
 # ==== conjugates ==============================================================
 
 
-def _conjugate_scan(vs: np.ndarray, gs: np.ndarray, out_grid: np.ndarray) -> np.ndarray:
-    """min over v of v*l - g(v), evaluated for each l in out_grid."""
-    res = np.empty(out_grid.size)
-    for start in range(0, out_grid.size, _BLOCK):
-        blk = out_grid[start : start + _BLOCK]
-        res[start : start + blk.size] = np.min(
-            vs[:, None] * blk[None, :] - gs[:, None], axis=0
-        )
-    return res
+def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the upper concave hull of samples on a strictly increasing xs.
 
-
-def _conjugate_fast(vs: np.ndarray, gs: np.ndarray, out_grid: np.ndarray) -> np.ndarray:
-    """Monotone two-pointer scan, valid only for concave inputs.
-
-    For concave g the argmin of v*l - g(v) is non-increasing in l, so one
-    pointer sweep over ascending l costs O(N + M) instead of O(N * M).
+    Samples that already form a concave sequence (no interior sample strictly
+    under its neighbours' chord) are returned as they are, collinear points
+    included; otherwise those samples are dropped in one vectorized pass,
+    since none of them can be a hull vertex, and an O(N) monotone chain
+    builds the hull of the rest.
     """
-    res = np.empty(out_grid.size)
-    j = vs.size - 1
-    for m, l in enumerate(out_grid):
-        while j > 0 and vs[j - 1] * l - gs[j - 1] <= vs[j] * l - gs[j]:
-            j -= 1
-        res[m] = vs[j] * l - gs[j]
-    return res
+    if xs.size < 3:
+        return xs, ys
+    dx, dy = np.diff(xs), np.diff(ys)
+    under = dy[:-1] * dx[1:] < dy[1:] * dx[:-1]
+    if not under.any():
+        return xs, ys
+    keep = np.concatenate(([True], ~under, [True]))
+    hx: list[float] = []
+    hy: list[float] = []
+    for x, y in zip(xs[keep].tolist(), ys[keep].tolist()):
+        while len(hx) >= 2 and (hy[-1] - hy[-2]) * (x - hx[-2]) <= (y - hy[-2]) * (
+            hx[-1] - hx[-2]
+        ):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return np.array(hx), np.array(hy)
 
 
-def concave_conjugate(
-    g: SampledFunction, out_grid: np.ndarray, method: str = "scan"
-) -> SampledFunction:
+def concave_conjugate(g: SampledFunction, out_grid: np.ndarray) -> SampledFunction:
     """Concave conjugate g*(l) = inf_v { v*l - g(v) } on an explicit out grid.
 
     The infimum runs over the grid points of g's effective domain, which is
@@ -225,25 +230,23 @@ def concave_conjugate(
     so the infimum over the interpolant is attained at a vertex).  The result
     is concave, and non-decreasing whenever g's domain lies in [0, inf).
 
-    method="fast" uses the monotone two-pointer sweep; it agrees with the
-    scan to machine precision for concave inputs and must not be used
-    otherwise.
+    Runs in O(N + M log N) for N samples and M output points, after Lucet's
+    linear-time Legendre transform: since g* = (hull g)*, the infimum is
+    taken over the vertices of g's upper concave hull, and for slope l the
+    minimizing vertex is the count of hull slopes greater than l.  This holds
+    for any input, concave or not.
     """
     out_grid = np.asarray(out_grid, dtype=float)
     if out_grid.ndim != 1 or out_grid.size < 2 or not np.all(np.diff(out_grid) > 0):
         raise BadGrid("out_grid must be 1-D, strictly increasing, len >= 2")
-    vs, gs = _finite_part(g)
-    if method == "scan":
-        vals = _conjugate_scan(vs, gs, out_grid)
-    elif method == "fast":
-        vals = _conjugate_fast(vs, gs, out_grid)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SampledFunction(out_grid, vals)
+    hx, hy = _upper_hull(*_finite_part(g))
+    slopes = np.diff(hy) / np.diff(hx)  # non-increasing
+    j = np.searchsorted(-slopes, -out_grid)
+    return SampledFunction(out_grid, hx[j] * out_grid - hy[j])
 
 
 def conjugate_value(g: SampledFunction, l: float) -> float:
-    """g*(l) at a single point (same scan as concave_conjugate)."""
+    """g*(l) at a single point, as a direct minimum over g's samples."""
     vs, gs = _finite_part(g)
     return float(np.min(vs * l - gs))
 
@@ -251,53 +254,42 @@ def conjugate_value(g: SampledFunction, l: float) -> float:
 def biconjugate(g: SampledFunction) -> SampledFunction:
     """g** on g's own grid: the closed concave hull of the samples.
 
-    The intermediate slope grid contains every secant slope of g's finite
-    part.  For an input that is already concave, the Fenchel equality at
-    those slopes makes the round trip exact up to rounding; for non-concave
-    input the result is the concave hull.  Points outside g's domain stay
-    at -inf (a bounded slope grid cannot reach the -inf limit itself).
+    Evaluates the upper concave hull of g's finite samples, in O(N): exact,
+    the identity on concave input and the concave hull otherwise.  Points
+    outside g's domain stay at -inf.
     """
     xs, ys = _finite_part(g)
     i0, i1 = g.domain_indices
     out = np.full(g.grid.size, NEG_INFINITY)
-    if xs.size == 1:
-        out[i0] = ys[0]
-        return SampledFunction(g.grid, out)
-    secants = np.diff(ys) / np.diff(xs)
-    smin, smax = float(secants.min()), float(secants.max())
-    if smin == smax:
-        mid = np.array([smin - 1.0, smin, smin + 1.0])
-    else:
-        mid = np.unique(
-            np.concatenate([secants, np.linspace(smin, smax, g.grid.size)])
-        )
-    star = concave_conjugate(g, mid) if mid.size >= 2 else None
-    vs, gs = _finite_part(star)
-    out[i0 : i1 + 1] = _conjugate_scan(vs, gs, xs)
+    out[i0 : i1 + 1] = np.interp(xs, *_upper_hull(xs, ys))
     return SampledFunction(g.grid, out)
 
 
-def sup_convolution(
-    f: SampledFunction, g: SampledFunction, out_grid: np.ndarray | None = None
-) -> SampledFunction:
-    """Supremal convolution sup { f(x1) + g(x2) : x1 + x2 = x } on out_grid.
+def _on_hull(xs: np.ndarray, ys: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> bool:
+    """True when every sample lies on its upper hull to 1e-12 relative."""
+    gap = np.interp(xs, hx, hy) - ys
+    return float(gap.max()) <= 1e-12 * (1.0 + float(np.max(np.abs(ys))))
 
-    Splits are searched over both input grids with piecewise-linear
-    evaluation of the partner function, which covers every vertex of the
-    piecewise-linear objective: the result is the exact sup-convolution of
-    the two interpolants at each output point inside the Minkowski sum of
-    the domains.  Raises EmptyOverlap when no output point admits any
-    feasible split.
+
+def _hypograph_sum(fx, fy, gx, gy) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the Minkowski sum of two concave hypographs.
+
+    Both hulls' segments are merged by slope, largest first, starting from
+    the sum of the left endpoints; vertex k sums the two hull vertices that
+    the first k merged segments reach, so no rounding accumulates along the
+    chain.
     """
-    if out_grid is None:
-        lo, hi = f.lo + g.lo, f.hi + g.hi
-        if hi > lo:
-            out_grid = np.linspace(lo, hi, max(f.grid.size, g.grid.size))
-        else:
-            out_grid = np.array([lo - 1.0, lo, lo + 1.0])
-    out_grid = np.asarray(out_grid, dtype=float)
-    if out_grid.ndim != 1 or out_grid.size < 2 or not np.all(np.diff(out_grid) > 0):
-        raise BadGrid("out_grid must be 1-D, strictly increasing, len >= 2")
+    slopes = np.concatenate((np.diff(fy) / np.diff(fx), np.diff(gy) / np.diff(gx)))
+    from_f = np.argsort(-slopes, kind="stable") < fx.size - 1
+    i = np.concatenate(([0], np.cumsum(from_f)))
+    k = np.concatenate(([0], np.cumsum(~from_f)))
+    return fx[i] + gx[k], fy[i] + gy[k]
+
+
+def _sup_convolution_scan(
+    f: SampledFunction, g: SampledFunction, out_grid: np.ndarray
+) -> np.ndarray:
+    """O(N * M) sup-convolution over the vertices of both inputs."""
 
     def one_pass(a: SampledFunction, b: SampledFunction) -> np.ndarray:
         ax, av = _finite_part(a)
@@ -316,7 +308,43 @@ def sup_convolution(
             best = np.maximum(best, cand)
         return best
 
-    vals = np.maximum(one_pass(f, g), one_pass(g, f))
+    return np.maximum(one_pass(f, g), one_pass(g, f))
+
+
+def sup_convolution(
+    f: SampledFunction, g: SampledFunction, out_grid: np.ndarray | None = None
+) -> SampledFunction:
+    """Supremal convolution sup { f(x1) + g(x2) : x1 + x2 = x } on out_grid.
+
+    The result is the exact sup-convolution of the two piecewise-linear
+    interpolants at each output point inside the Minkowski sum of the
+    domains, and -inf outside it.  When both inputs lie on their upper
+    concave hulls to within 1e-12 * (1 + max |value|), the hypograph of the
+    result is the Minkowski sum of theirs: a merge of the two slope
+    sequences, O((N + M) log(N + M)) for N + M input samples, evaluated
+    piecewise-linearly on out_grid.  Otherwise every split at a vertex of
+    either input is scanned, O((N + M) * K) for K output points.  Raises
+    EmptyOverlap when no output point admits any feasible split.
+    """
+    if out_grid is None:
+        lo, hi = f.lo + g.lo, f.hi + g.hi
+        if hi > lo:
+            out_grid = np.linspace(lo, hi, max(f.grid.size, g.grid.size))
+        else:
+            out_grid = np.array([lo - 1.0, lo, lo + 1.0])
+    out_grid = np.asarray(out_grid, dtype=float)
+    if out_grid.ndim != 1 or out_grid.size < 2 or not np.all(np.diff(out_grid) > 0):
+        raise BadGrid("out_grid must be 1-D, strictly increasing, len >= 2")
+
+    fx, fy = _finite_part(f)
+    gx, gy = _finite_part(g)
+    fh, gh = _upper_hull(fx, fy), _upper_hull(gx, gy)
+    if _on_hull(fx, fy, *fh) and _on_hull(gx, gy, *gh):
+        sx, sy = _hypograph_sum(*fh, *gh)
+        vals = np.interp(out_grid, sx, sy)
+        vals[(out_grid < sx[0]) | (out_grid > sx[-1])] = NEG_INFINITY
+    else:
+        vals = _sup_convolution_scan(f, g, out_grid)
     if not np.isfinite(vals).any():
         raise EmptyOverlap("no feasible split at any output grid point")
     return SampledFunction(out_grid, vals)

@@ -90,10 +90,6 @@ class InfeasibleCurriculum(SelfPacedError):
     """Curriculum region has no feasible weight vector in the unit box."""
 
 
-class NonDifferentiable(SelfPacedError):
-    """Operation requires a differentiable objective."""
-
-
 class BadFractions(SelfPacedError):
     """Portion schedule fractions must be increasing and inside (0, 1]."""
 

@@ -82,6 +82,18 @@ def grid_constrained_inf(objective, spec: GridSpec, feasible=None):
     return best, best_point, lipschitz * step
 
 
+def conjugate_scan(g: SampledFunction, out_grid) -> SampledFunction:
+    """Concave conjugate inf_v { v*l - g(v) } by an O(N * M) scan.
+
+    Every finite sample of g is tried at every output slope; exact for the
+    piecewise-linear interpolant whether or not g is concave.
+    """
+    out_grid = np.asarray(out_grid, dtype=float)
+    finite = np.isfinite(g.values)
+    vs, gs = g.grid[finite], g.values[finite]
+    return SampledFunction(out_grid, np.array([np.min(vs * l - gs) for l in out_grid]))
+
+
 def finite_diff(fn, x: float, h: float = 1e-4) -> float:
     """Central difference derivative estimate, one-sided at domain edges.
 

@@ -29,11 +29,57 @@ from selfpaced.errors import (
     NonProper,
     OutsideDomain,
 )
-from selfpaced.oracles import random_concave
+from selfpaced import conjugacy
+from selfpaced.oracles import conjugate_scan, random_concave
 
 
 def pl(grid, values):
     return SampledFunction(np.asarray(grid, dtype=float), np.asarray(values, dtype=float))
+
+
+def random_walk(seed, n=257):
+    """Non-concave input: a Gaussian random walk on a random sub-interval of [0, 1]."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.normal(size=n))
+    i0 = int(rng.integers(0, n // 3))
+    i1 = int(rng.integers(2 * n // 3, n))
+    values[:i0] = NEG_INFINITY
+    values[i1 + 1 :] = NEG_INFINITY
+    return pl(np.linspace(0.0, 1.0, n), values)
+
+
+def bump_on_concave(seed, height=0.3):
+    """Non-concave input: a narrow bump added to a random concave function."""
+    g = random_concave(seed)
+    return pl(g.grid, g.values + height * np.exp(-(((g.grid - 0.5) / 0.02) ** 2)))
+
+
+def sawtooth(n=4097, period=512):
+    """Non-concave input: concave teeth that drop back to 0 every `period` samples."""
+    return pl(np.linspace(0.0, 1.0, n), np.sqrt(np.arange(n) % period))
+
+
+def chain_hull(x, y):
+    """Upper concave hull by monotone chain, keeping vertex indices."""
+    idx = []
+    for i in range(x.size):
+        while len(idx) >= 2:
+            a, b = idx[-2], idx[-1]
+            if (y[b] - y[a]) * (x[i] - x[a]) - (y[i] - y[a]) * (x[b] - x[a]) > 0:
+                break
+            idx.pop()
+        idx.append(i)
+    return x[idx], y[idx]
+
+
+def brute_sup_convolution(f, g, out):
+    """max over splits at a vertex of either input of f(x1) + g(x - x1)."""
+    best = np.full(out.size, NEG_INFINITY)
+    for a, b in ((f, g), (g, f)):
+        finite = np.isfinite(a.values)
+        for ax, av in zip(a.grid[finite], a.values[finite]):
+            best = np.maximum(best, av + b.interp(out - ax))
+    return best
 
 
 # ==== grids and sampled functions =============================================
@@ -142,9 +188,17 @@ def test_fast_method_matches_scan_on_concave_input():
     for seed in range(8):
         g = random_concave(seed)
         out = np.linspace(-6.0, 6.0, 257)
-        a = concave_conjugate(g, out, method="scan")
-        b = concave_conjugate(g, out, method="fast")
+        a = conjugate_scan(g, out)
+        b = concave_conjugate(g, out)
         assert np.allclose(a.values, b.values, atol=1e-12)
+
+
+def test_conjugate_matches_scan_on_nonconcave_inputs():
+    out = np.linspace(-60.0, 60.0, 513)
+    for g in (sawtooth(), bump_on_concave(3), random_walk(5, n=4097)):
+        a = conjugate_scan(g, out).values
+        b = concave_conjugate(g, out).values
+        assert np.max(np.abs(a - b)) <= 1e-12
 
 
 # ==== biconjugate =============================================================
@@ -173,6 +227,20 @@ def test_biconjugate_fixes_negated_entropy():
     interior = grid[(grid > 1e-3) & (grid < 1.0)]
     err = np.max(np.abs(gg.interp(interior) - g.interp(interior)))
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "g",
+    [sawtooth(), bump_on_concave(1), random_walk(2), random_walk(3, n=4097)],
+    ids=["sawtooth", "bump", "walk", "long-walk"],
+)
+def test_biconjugate_equals_monotone_chain_hull(g):
+    finite = np.isfinite(g.values)
+    x, y = g.grid[finite], g.values[finite]
+    want = np.interp(x, *chain_hull(x, y))
+    gg = biconjugate(g)
+    assert np.array_equal(np.isfinite(gg.values), finite)
+    assert np.max(np.abs(gg.values[finite] - want)) <= 1e-12
 
 
 def test_biconjugate_keeps_outside_domain_infinite():
@@ -217,6 +285,47 @@ def test_sup_convolution_raises_on_empty_overlap():
     f = pl([-1.0, 0.0, 1.0], [NEG_INFINITY, 0.0, NEG_INFINITY])
     with pytest.raises(EmptyOverlap):
         sup_convolution(f, f, out_grid=np.array([5.0, 6.0]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sup_convolution_of_concave_pair_matches_brute_force(seed):
+    f = random_concave(seed)
+    g = random_concave(seed + 100, grid=np.linspace(-1.0, 2.0, 129))
+    out = np.linspace(-1.5, 3.5, 301)
+    got = sup_convolution(f, g, out_grid=out).values
+    want = brute_sup_convolution(f, g, out)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    both = np.isfinite(want)
+    assert np.max(np.abs(got[both] - want[both])) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sup_convolution_of_nonconcave_pair_matches_brute_force(seed):
+    f = random_walk(seed, n=129)
+    g = bump_on_concave(seed)
+    out = np.linspace(-0.5, 2.5, 301)
+    got = sup_convolution(f, g, out_grid=out).values
+    want = brute_sup_convolution(f, g, out)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    both = np.isfinite(want)
+    assert np.max(np.abs(got[both] - want[both])) <= 1e-12
+
+
+def test_sup_convolution_scans_only_nonconcave_inputs(monkeypatch):
+    scanned = []
+    scan = conjugacy._sup_convolution_scan
+    monkeypatch.setattr(
+        conjugacy, "_sup_convolution_scan", lambda *a: scanned.append(1) or scan(*a)
+    )
+    f, g = random_concave(7), random_concave(8)
+    sup_convolution(f, g)
+    assert scanned == []
+    # a saturating function, dented by 1e-10 on its flat part: non-concave by
+    # more than the 1e-12 hull tolerance, so it must take the scan
+    grid = unit_grid(257)
+    dented = pl(grid, np.minimum(grid, 0.5) - 1e-10 * (grid == grid[200]))
+    sup_convolution(dented, g)
+    assert scanned == [1]
 
 
 def test_sup_convolution_default_out_grid_covers_minkowski_sum():
@@ -407,11 +516,11 @@ def test_conjugate_is_concave(seed):
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds)
 def test_fast_conjugate_agrees_with_scan(seed):
-    g = random_concave(seed)
     out = np.linspace(-6.0, 6.0, 257)
-    a = concave_conjugate(g, out, method="scan").values
-    b = concave_conjugate(g, out, method="fast").values
-    assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+    for g in (random_concave(seed), random_walk(seed), bump_on_concave(seed)):
+        a = conjugate_scan(g, out).values
+        b = concave_conjugate(g, out).values
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
