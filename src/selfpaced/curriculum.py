@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +45,10 @@ from .errors import (
 from .regularizers import SPRegularizer
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a batched balance evaluation takes at most this many betas, and at most this
+# many weight lookups in all (betas times the support of the normal)
+_BATCH_POINTS = 64
+_BATCH_ELEMENTS = 2**16
 
 
 # ==== regions =================================================================
@@ -62,13 +67,77 @@ def check_partition(partition: Sequence[Sequence[int]], n: int) -> tuple:
     return blocks
 
 
+def partition_labels(partition: Sequence[Sequence[int]], n: int):
+    """Block label of each of n samples and the size of each block.
+
+    Raises BadPartition unless the partition covers 0..n-1 exactly once.
+    """
+    blocks = check_partition(partition, n)
+    counts = np.array([len(b) for b in blocks])
+    labels = np.empty(n, dtype=np.intp)
+    labels[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), counts)
+    return labels, counts
+
+
+def _pair_normal(k: np.ndarray):
+    """Decode k as a pairwise ordering v_i >= v_j; None if not that shape."""
+    nz = np.flatnonzero(k)
+    if nz.size != 2:
+        return None
+    a, b = nz
+    if not math.isclose(k[a], -k[b], rel_tol=1e-12, abs_tol=0.0):
+        return None
+    return (a, b) if k[a] > 0 else (b, a)
+
+
+def _chain_orders(halfspaces):
+    """Decode an intersection of pairwise orderings as disjoint chains.
+
+    Returns a list of index chains [i1, i2, ...] meaning
+    v_{i1} >= v_{i2} >= ..., or None when the halfspaces are not all
+    homogeneous pairwise orderings arranged in simple chains.
+    """
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    for h in halfspaces:
+        if abs(h.b) > 0:
+            return None
+        pair = _pair_normal(h.k)
+        if pair is None:
+            return None
+        hi, lo = pair
+        if hi in succ or lo in pred:
+            return None  # branching order, not a chain
+        succ[hi] = lo
+        pred[lo] = hi
+    chains = []
+    heads = [i for i in succ if i not in pred]
+    visited = set()
+    for head in heads:
+        chain = [head]
+        visited.add(head)
+        cur = head
+        while cur in succ:
+            cur = succ[cur]
+            if cur in visited:
+                return None  # cycle
+            visited.add(cur)
+            chain.append(cur)
+        chains.append(chain)
+    if len(visited) < len(set(succ) | set(pred)):
+        return None  # leftover nodes imply a cycle
+    return chains
+
+
 @dataclass(frozen=True)
 class CurriculumRegion:
     """A constraint region for the weight vector.
 
     kind is one of 'none', 'halfspace', 'intersection', 'groups'.  For the
     halfspace kinds the normals live in `halfspaces`; for 'groups' the block
-    structure lives in `partition`.
+    structure lives in `partition`.  The array forms the v-step works with
+    (block labels, chains, the nonzeros of the normals) are decoded once, on
+    first use.
     """
 
     kind: str = "none"
@@ -156,6 +225,62 @@ class CurriculumRegion:
         for h in self.halfspaces:
             mask &= v @ h.k >= h.b - tol
         return mask
+
+    # -- decoded forms, computed once per region --------------------------------
+
+    @cached_property
+    def group_labels(self):
+        """(labels, counts): block label of every sample and every block's size."""
+        return partition_labels(self.partition, sum(len(b) for b in self.partition))
+
+    @cached_property
+    def _normals(self):
+        """The nonzero entries of all normals as (rows, cols, vals), and n."""
+        if len({h.k.size for h in self.halfspaces}) > 1:
+            raise BadParam("halfspace normals differ in dimension")
+        cols = [np.flatnonzero(h.k) for h in self.halfspaces]
+        rows = np.repeat(np.arange(len(cols)), [c.size for c in cols])
+        vals = np.concatenate([h.k[c] for h, c in zip(self.halfspaces, cols)])
+        return rows, np.concatenate(cols), vals, self.halfspaces[0].k.size
+
+    @property
+    def dim(self) -> int:
+        """The number of weights the halfspaces constrain."""
+        return self._normals[3]
+
+    def normal_dots(self, v: np.ndarray) -> np.ndarray:
+        """<k_j, v> for every halfspace j, in time linear in the nonzeros."""
+        rows, cols, vals, _ = self._normals
+        return np.bincount(rows, weights=vals * v[cols], minlength=len(self.halfspaces))
+
+    def normal_mix(self, mu: np.ndarray) -> np.ndarray:
+        """sum_j mu_j k_j, in time linear in the nonzeros."""
+        rows, cols, vals, n = self._normals
+        return np.bincount(cols, weights=vals * mu[rows], minlength=n)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The halfspace offsets b, shape (m,)."""
+        return np.array([h.b for h in self.halfspaces])
+
+    @cached_property
+    def caps(self) -> np.ndarray:
+        """The largest <k, v> over the box [0, 1]^n, per halfspace."""
+        rows, _, vals, _ = self._normals
+        return np.bincount(rows, weights=np.maximum(vals, 0.0), minlength=len(self.halfspaces))
+
+    @cached_property
+    def chains(self):
+        """(order, lengths) when the halfspaces are pairwise orderings in chains.
+
+        order concatenates the chains' indices, each chain listed from the
+        sample whose weight must be largest; lengths gives each chain's
+        length.  None for any other set of halfspaces.
+        """
+        chains = _chain_orders(self.halfspaces)
+        if chains is None:
+            return None
+        return np.array([i for c in chains for i in c], dtype=np.intp), [len(c) for c in chains]
 
 
 # ==== loss-side extensions ====================================================
@@ -342,6 +467,81 @@ def homogeneous_closed_form(
     return CurriculumActionResult(rest + pooled, weights, beta, "penalized")
 
 
+def _batch_width(support: int) -> int:
+    """Betas per batched balance evaluation for a normal with this support."""
+    return max(1, min(_BATCH_POINTS, _BATCH_ELEMENTS // max(support, 1)))
+
+
+def support_balance(reg: SPRegularizer, lam: float, l: np.ndarray, k: np.ndarray):
+    """The weight balance beta -> <weight_ext(l - beta * k), k>, batched.
+
+    Returns the balance, which maps an array of betas to an array of
+    balances, and the batch width for it.  The balance is nondecreasing in
+    beta and only reads the support of k, so each call costs one
+    weight_extended lookup of (betas x support) values.
+    """
+    support = np.flatnonzero(k)
+    ls, ks = l[support], k[support]
+
+    def balance(betas):
+        shifted = ls - np.multiply.outer(np.asarray(betas, dtype=float), ks)
+        w = weight_extended(reg, lam, shifted.ravel()).reshape(shifted.shape)
+        return w @ ks
+
+    return balance, _batch_width(support.size)
+
+
+def bisect_balance(
+    balance, b: float, lo: float, hi: float, width: int, atol: float, rtol: float = 0.0
+) -> float:
+    """Shrink a bracket balance(lo) < b <= balance(hi) and return its feasible end.
+
+    Each round evaluates `width` evenly spaced interior points in one call
+    and keeps the sub-bracket that straddles b, until hi - lo is at most
+    max(atol, rtol * hi).  At width 1 this is plain bisection.
+    """
+    t = np.arange(1, width + 1) / (width + 1)
+    while hi - lo > max(atol, rtol * hi):
+        pts = (1.0 - t) * lo + t * hi
+        meets = balance(pts) >= b
+        j = int(np.argmax(meets)) if meets.any() else width
+        new_lo = float(pts[j - 1]) if j > 0 else lo
+        new_hi = float(pts[j]) if j < width else hi
+        if (new_lo, new_hi) == (lo, hi):
+            break  # the bracket is down to rounding
+        lo, hi = new_lo, new_hi
+    return hi
+
+
+def balance_root(
+    balance,
+    b: float,
+    hi: float,
+    width: int,
+    atol: float,
+    rtol: float = 0.0,
+    max_doublings: int = 200,
+) -> float:
+    """Least beta >= 0 with balance(beta) >= b, returned from the feasible side.
+
+    Returns 0 when balance(0) >= b.  Otherwise tries hi, 2 hi, 4 hi, ...
+    (width of them per call) for a bracket and shrinks it with
+    bisect_balance.  Raises NoRoot when the balance stays below b after
+    max_doublings doublings.
+    """
+    candidates = np.concatenate(([0.0], hi * 2.0 ** np.arange(max_doublings + 1)))
+    for start in range(0, candidates.size, width):
+        meets = balance(candidates[start : start + width]) >= b
+        if meets.any():
+            at = start + int(np.argmax(meets))
+            if at == 0:
+                return 0.0
+            return bisect_balance(
+                balance, b, float(candidates[at - 1]), float(candidates[at]), width, atol, rtol
+            )
+    raise NoRoot("weight balance never reaches the offset b along the ray")
+
+
 def affine_action(
     reg: SPRegularizer,
     lam: float,
@@ -349,56 +549,48 @@ def affine_action(
     h: Halfspace,
     tol: float = 1e-10,
     max_doublings: int = 200,
+    latent: bool = True,
 ) -> CurriculumActionResult:
     """Latent under a general halfspace { v : <k, v> >= b }.
 
     Evaluates sup_{beta >= 0} F_ext(l - beta * k) + beta * b.  When the
     unconstrained weights already satisfy the constraint the supremum sits
     at beta = 0.  Otherwise the optimal beta balances the scaled weights
-    against the offset, <weight_ext(l - beta * k), k> = b, and is found by
-    bisection on that nondecreasing function to absolute tolerance `tol`.
-    Raises NoRoot when no beta achieves the balance (the supremum diverges).
+    against the offset, <weight_ext(l - beta * k), k> = b, and is bracketed
+    on that nondecreasing function to absolute tolerance `tol`, from the
+    side where the weights meet the constraint.  Raises NoRoot when no beta
+    achieves the balance (the supremum diverges).  With latent=False only
+    the weights and beta are computed and the value is nan.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != h.k.shape:
         raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
 
-    balance = lambda beta: float(weight_extended(reg, lam, l - beta * h.k) @ h.k)
-    side = "unaffected" if balance(0.0) >= h.b - 1e-12 else "penalized"
-    if side == "unaffected":
-        w = np.asarray(reg.weight(lam, l), dtype=float)
-        return CurriculumActionResult(_joint_latent_ext(reg, lam, l), w, 0.0, side)
-
-    cap = float(np.sum(np.maximum(h.k, 0.0)))  # limit of the balance as beta grows
-    if h.b > cap + 1e-12:
-        raise NoRoot(
-            f"offset b={h.b} exceeds the attainable weight balance {cap}; "
-            "the constrained latent diverges"
-        )
-
-    beta_hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-    doublings = 0
-    while balance(beta_hi) < h.b:
-        beta_hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            raise NoRoot("weight balance never reaches the offset b along the ray")
-    beta_lo = 0.0
-    while beta_hi - beta_lo > tol:
-        mid = 0.5 * (beta_lo + beta_hi)
-        if balance(mid) >= h.b:
-            beta_hi = mid
-        else:
-            beta_lo = mid
-    beta = 0.5 * (beta_lo + beta_hi)
-    shifted = l - beta * h.k
-    value = _joint_latent_ext(reg, lam, shifted) + beta * h.b
-    return CurriculumActionResult(
-        value, weight_extended(reg, lam, shifted), beta, side
-    )
+    w = weight_extended(reg, lam, l)
+    beta = 0.0
+    side = "unaffected" if float(w @ h.k) >= h.b - 1e-12 else "penalized"
+    if side == "penalized":
+        cap = float(np.sum(np.maximum(h.k, 0.0)))  # limit of the balance as beta grows
+        if h.b > cap + 1e-12:
+            raise NoRoot(
+                f"offset b={h.b} exceeds the attainable weight balance {cap}; "
+                "the constrained latent diverges"
+            )
+        balance, width = support_balance(reg, lam, l, h.k)
+        hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
+        beta = balance_root(balance, h.b, hi, width, tol, max_doublings=max_doublings)
+        w = weight_extended(reg, lam, l - beta * h.k)
+    value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b if latent else math.nan
+    return CurriculumActionResult(value, w, beta, side)
 
 
 # ==== group action ============================================================
+
+
+def block_weights(reg: SPRegularizer, lam: float, l: np.ndarray, labels, counts):
+    """Block mean losses and the weight of each block's mean, per block."""
+    means = np.bincount(labels, weights=l, minlength=counts.size) / counts
+    return means, np.asarray(reg.weight(lam, means), dtype=float)
 
 
 def group_latent(
@@ -410,15 +602,11 @@ def group_latent(
     and every sample in the block takes the weight of the block mean.
     """
     l = np.asarray(l, dtype=float)
-    blocks = check_partition(partition, l.size)
-    weights = np.empty(l.size)
-    total = 0.0
-    for block in blocks:
-        idx = list(block)
-        mean = float(np.mean(l[idx]))
-        total += len(idx) * float(reg.latent(lam, mean))
-        weights[idx] = reg.weight(lam, mean)
-    return CurriculumActionResult(total, weights, None, "-")
+    labels, counts = partition_labels(partition, l.size)
+    means, block_w = block_weights(reg, lam, l, labels, counts)
+    per_block = counts * np.asarray(reg.latent(lam, means), dtype=float)
+    total = float(sum(per_block))  # a running sum in block order
+    return CurriculumActionResult(total, block_w[labels], None, "-")
 
 
 # ==== direct reference by grid minimization ===================================

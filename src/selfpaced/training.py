@@ -28,13 +28,16 @@ import numpy as np
 from .curriculum import (
     CurriculumRegion,
     affine_action,
-    check_partition,
+    balance_root,
+    block_weights,
+    support_balance,
     weight_extended,
 )
 from .errors import (
     BadFractions,
     BadLabels,
     BadParam,
+    BadPartition,
     InfeasibleCurriculum,
     NoRoot,
     SingularSystem,
@@ -360,88 +363,40 @@ def _weighted_logistic(
 # ==== the v-step ==============================================================
 
 
-def _pair_normal(k: np.ndarray):
-    """Decode k as a pairwise ordering v_i >= v_j; None if not that shape."""
-    nz = np.flatnonzero(k)
-    if nz.size != 2:
-        return None
-    a, b = nz
-    if not math.isclose(k[a], -k[b], rel_tol=1e-12, abs_tol=0.0):
-        return None
-    return (a, b) if k[a] > 0 else (b, a)
-
-
-def _chain_orders(region: CurriculumRegion, n: int):
-    """Decode an intersection of pairwise orderings as disjoint chains.
-
-    Returns a list of index chains [i1, i2, ...] meaning
-    v_{i1} >= v_{i2} >= ..., or None when the halfspaces are not all
-    homogeneous pairwise orderings arranged in simple chains.
-    """
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    for h in region.halfspaces:
-        if abs(h.b) > 0:
-            return None
-        pair = _pair_normal(h.k)
-        if pair is None:
-            return None
-        hi, lo = pair
-        if hi in succ or lo in pred:
-            return None  # branching order, not a chain
-        succ[hi] = lo
-        pred[lo] = hi
-    chains = []
-    heads = [i for i in succ if i not in pred]
-    visited = set()
-    for head in heads:
-        chain = [head]
-        visited.add(head)
-        cur = head
-        while cur in succ:
-            cur = succ[cur]
-            if cur in visited:
-                return None  # cycle
-            visited.add(cur)
-            chain.append(cur)
-        chains.append(chain)
-    if len(visited) < len(set(succ) | set(pred)):
-        return None  # leftover nodes imply a cycle
-    return chains
-
-
-def _pav_chain(reg: SPRegularizer, lam: float, losses: np.ndarray) -> np.ndarray:
-    """Pool adjacent violators along a chain requiring non-increasing weights.
+def _pav_chains(losses: list, lengths: Sequence[int]):
+    """Pool adjacent violators along chains requiring non-increasing weights.
 
     Weights decrease in the loss, so the constraint is equivalent to the
-    effective losses being non-decreasing along the chain; pooled blocks
+    effective losses being non-decreasing along each chain; pooled blocks
     take the weight of their mean loss, which solves each block subproblem
     exactly for every penalty in the catalog shape (common weight at the
-    block's mean).
+    block's mean).  `losses` concatenates the chains, whose lengths are
+    given; returns the sum and size of every pooled block, in order.
     """
-    blocks = []  # (sum, count)
-    for l in losses:
-        blocks.append([float(l), 1])
-        while len(blocks) >= 2 and blocks[-1][0] / blocks[-1][1] < blocks[-2][0] / blocks[-2][1]:
-            s, c = blocks.pop()
-            blocks[-1][0] += s
-            blocks[-1][1] += c
-    out = np.empty(losses.size)
+    sums: list = []
+    counts: list = []
     pos = 0
-    for s, c in blocks:
-        out[pos : pos + c] = reg.weight(lam, s / c)
-        pos += c
-    return out
+    for length in lengths:
+        first = len(sums)  # blocks never pool across chains
+        for s in losses[pos : pos + length]:
+            c = 1
+            while len(sums) > first and s / c < sums[-1] / counts[-1]:
+                s += sums.pop()
+                c += counts.pop()
+            sums.append(s)
+            counts.append(c)
+        pos += length
+    return np.array(sums), np.array(counts)
 
 
 def _feasibility_precheck(region: CurriculumRegion):
-    for h in region.halfspaces:
-        cap = float(np.sum(np.maximum(h.k, 0.0)))
-        if h.b > cap + 1e-12:
-            raise InfeasibleCurriculum(
-                f"halfspace <k, v> >= {h.b} cannot be met by weights in [0, 1]^n "
-                f"(maximum attainable is {cap})"
-            )
+    over = np.flatnonzero(region.offsets > region.caps + 1e-12)
+    if over.size:
+        j = over[0]
+        raise InfeasibleCurriculum(
+            f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
+            f"(maximum attainable is {region.caps[j]})"
+        )
 
 
 def _boundary_forced_weights(reg, lam, l, h):
@@ -451,56 +406,37 @@ def _boundary_forced_weights(reg, lam, l, h):
     return v
 
 
-def _dual_single_halfspace(reg, lam, l, h):
-    cap = float(np.sum(np.maximum(h.k, 0.0)))
+def _dual_single_halfspace(reg, lam, l, h, cap):
     if abs(h.b - cap) <= 1e-12:
         return _boundary_forced_weights(reg, lam, l, h)
     try:
-        result = affine_action(reg, lam, l, h)
+        result = affine_action(reg, lam, l, h, latent=False)
     except NoRoot as exc:
         raise InfeasibleCurriculum(str(exc)) from None
     return np.asarray(result.weights, dtype=float)
 
 
 def _dual_intersection(reg, lam, l, region, sweeps: int = 200):
-    hs = region.halfspaces
-    m = len(hs)
-    mu = np.zeros(m)
-    K = np.stack([h.k for h in hs])
-
-    def weights_for(mu_vec):
-        shift = K.T @ mu_vec
-        return weight_extended(reg, lam, l - shift)
+    b = region.offsets
+    mu = np.zeros(b.size)
 
     for _ in range(sweeps):
-        for j, h in enumerate(hs):
+        for j, h in enumerate(region.halfspaces):
             other = mu.copy()
             other[j] = 0.0
-            l_eff = l - K.T @ other
-            balance = lambda m_j: float(weight_extended(reg, lam, l_eff - m_j * h.k) @ h.k)
-            if balance(0.0) >= h.b:
-                mu[j] = 0.0
-                continue
+            l_eff = l - region.normal_mix(other)
+            balance, width = support_balance(reg, lam, l_eff, h.k)
             hi = max(1.0, float(np.linalg.norm(l_eff)) / float(np.linalg.norm(h.k)))
-            grow = 0
-            while balance(hi) < h.b:
-                hi *= 2.0
-                grow += 1
-                if grow > 200:
-                    raise InfeasibleCurriculum(
-                        "dual ascent cannot satisfy a halfspace; region may be "
-                        "infeasible or the penalty too flat"
-                    )
-            lo = 0.0
-            while hi - lo > 1e-12 * max(1.0, hi):
-                mid = 0.5 * (lo + hi)
-                if balance(mid) >= h.b:
-                    hi = mid
-                else:
-                    lo = mid
-            mu[j] = hi  # feasible side for this constraint
-        v = weights_for(mu)
-        slack = K @ v - np.array([h.b for h in hs])
+            try:
+                # the feasible side for this constraint
+                mu[j] = balance_root(balance, b[j], hi, width, atol=1e-12, rtol=1e-12)
+            except NoRoot:
+                raise InfeasibleCurriculum(
+                    "dual ascent cannot satisfy a halfspace; region may be "
+                    "infeasible or the penalty too flat"
+                ) from None
+        v = weight_extended(reg, lam, l - region.normal_mix(mu))
+        slack = region.normal_dots(v) - b
         if float(slack.min()) >= -1e-9 and float(np.max(mu * np.abs(slack))) <= 1e-8:
             return v
     raise InfeasibleCurriculum(
@@ -519,9 +455,9 @@ def v_step(
 
     Routing: no region -> elementwise weights; groups -> the weight of each
     block's mean loss; pairwise-order chains -> pool adjacent violators;
-    other halfspaces -> dual multiplier search (bisection per constraint),
-    which requires a strictly convex penalty and therefore refuses the
-    binary-weight penalty outside the chain case.
+    other halfspaces -> dual multiplier search (a batched bracket per
+    constraint), which requires a strictly convex penalty and therefore
+    refuses the binary-weight penalty outside the chain case.
     """
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
@@ -530,23 +466,28 @@ def v_step(
         return np.clip(np.asarray(reg.weight(lam, l), dtype=float), 0.0, 1.0)
 
     if region.kind == "groups":
-        blocks = check_partition(region.partition, l.size)
-        v = np.empty(l.size)
-        for block in blocks:
-            idx = list(block)
-            v[idx] = reg.weight(lam, float(np.mean(l[idx])))
-        return np.clip(v, 0.0, 1.0)
+        labels, counts = region.group_labels
+        if labels.size != l.size:
+            raise BadPartition(
+                f"partition covers {labels.size} samples, but there are {l.size} losses"
+            )
+        _, block_w = block_weights(reg, lam, l, labels, counts)
+        return np.clip(block_w[labels], 0.0, 1.0)
 
+    if region.dim != l.size:
+        raise BadParam(
+            f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
+        )
     _feasibility_precheck(region)
     v0 = np.asarray(reg.weight(lam, l), dtype=float)
-    if all(float(v0 @ h.k) >= h.b - 1e-12 for h in region.halfspaces):
+    if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
         return np.clip(v0, 0.0, 1.0)
 
-    chains = _chain_orders(region, l.size)
-    if chains is not None:
+    if region.chains is not None:
+        order, lengths = region.chains
+        sums, counts = _pav_chains(l[order].tolist(), lengths)
         v = v0.copy()
-        for chain in chains:
-            v[chain] = _pav_chain(reg, lam, l[chain])
+        v[order] = np.repeat(np.asarray(reg.weight(lam, sums / counts), dtype=float), counts)
         return np.clip(v, 0.0, 1.0)
 
     if reg.name == "hard":
@@ -555,7 +496,7 @@ def v_step(
             "halfspace constraints"
         )
     if region.kind == "halfspace":
-        v = _dual_single_halfspace(reg, lam, l, region.halfspaces[0])
+        v = _dual_single_halfspace(reg, lam, l, region.halfspaces[0], region.caps[0])
     else:
         v = _dual_intersection(reg, lam, l, region)
     return np.clip(v, 0.0, 1.0)
@@ -658,14 +599,31 @@ def sp_penalty_sum(reg: SPRegularizer, lam: float, v: np.ndarray) -> float:
 
 
 def full_objective(
-    v: np.ndarray, l: np.ndarray, lam: float, reg: SPRegularizer, alpha: float, w: np.ndarray
+    v: np.ndarray,
+    l: np.ndarray,
+    lam: float,
+    reg: SPRegularizer,
+    alpha: float,
+    w: np.ndarray,
+    penalty: float | None = None,
 ) -> float:
-    """The joint objective <v, l> + lam * sum r(v_i) + alpha * ||w||^2."""
-    return float(v @ l) + sp_penalty_sum(reg, lam, v) + alpha * float(w @ w)
+    """The joint objective <v, l> + lam * sum r(v_i) + alpha * ||w||^2.
+
+    `penalty`, when given, is sp_penalty_sum(reg, lam, v), already computed.
+    """
+    if penalty is None:
+        penalty = sp_penalty_sum(reg, lam, v)
+    return float(v @ l) + penalty + alpha * float(w @ w)
 
 
 def latent_objective(
-    v: np.ndarray, l: np.ndarray, lam: float, reg: SPRegularizer, alpha: float, w: np.ndarray
+    v: np.ndarray,
+    l: np.ndarray,
+    lam: float,
+    reg: SPRegularizer,
+    alpha: float,
+    w: np.ndarray,
+    penalty: float | None = None,
 ) -> float:
     """The unweighted-form objective G(w) evaluated through minimizing weights.
 
@@ -675,7 +633,7 @@ def latent_objective(
     latent = min_v {<v, l> + lam sum r} - n * lam * min r.
     """
     return (
-        full_objective(v, l, lam, reg, alpha, w)
+        full_objective(v, l, lam, reg, alpha, w, penalty)
         - l.size * lam * reg.r_base_min
     )
 
@@ -769,18 +727,24 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
     losses = loss_vector(w, dataset, config.loss)
     state = TrainState(w=w, v=np.ones(dataset.n), lam=1.0, losses=losses)
 
+    def alternate(lam: float) -> float:
+        """One v-step and w-step at fixed age, recorded; returns the joint objective."""
+        nonlocal w, losses
+        v = v_step(losses, lam, reg, region)
+        penalty = sp_penalty_sum(reg, lam, v)  # the same v enters both objectives
+        latent_val = latent_objective(v, losses, lam, reg, alpha, w, penalty)
+        w = w_step(v, dataset, config)
+        losses = loss_vector(w, dataset, config.loss)
+        obj = full_objective(v, losses, lam, reg, alpha, w, penalty)
+        state.record(lam, obj, latent_val, v)
+        state.v = v
+        return obj
+
     def run_stage(lam: float) -> bool:
         """Alternate at fixed age; True if the inner loop converged."""
-        nonlocal w, losses
         prev_obj = None
         for _ in range(config.max_inner):
-            v = v_step(losses, lam, reg, region)
-            latent_val = latent_objective(v, losses, lam, reg, alpha, w)
-            w = w_step(v, dataset, config)
-            losses = loss_vector(w, dataset, config.loss)
-            obj = full_objective(v, losses, lam, reg, alpha, w)
-            state.record(lam, obj, latent_val, v)
-            state.v = v
+            obj = alternate(lam)
             if prev_obj is not None and prev_obj - obj < config.inner_tol:
                 return True
             prev_obj = obj
@@ -818,13 +782,7 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
         if extra >= 10 * config.max_inner:
             polish_ok = False
             break
-        v = v_step(losses, lam, reg, region)
-        latent_val = latent_objective(v, losses, lam, reg, alpha, w)
-        w = w_step(v, dataset, config)
-        losses = loss_vector(w, dataset, config.loss)
-        obj = full_objective(v, losses, lam, reg, alpha, w)
-        state.record(lam, obj, latent_val, v)
-        state.v = v
+        alternate(lam)
         extra += 1
         gnorm = gradient_norm(w, dataset, config, lam, reg)
 

@@ -1,0 +1,396 @@
+"""The batched v-step routes against the per-block and scalar algorithms.
+
+Each reference below is the straightforward algorithm the vectorized route
+replaces: a Python loop over blocks, pool adjacent violators chain by chain
+with one weight lookup per pooled block, and scalar bisection on the weight
+balance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from selfpaced import curriculum
+from selfpaced.conjugacy import Halfspace
+from selfpaced.curriculum import (
+    CurriculumRegion,
+    affine_action,
+    balance_root,
+    bisect_balance,
+    group_latent,
+    support_balance,
+    weight_extended,
+)
+from selfpaced.errors import BadParam, BadPartition, InfeasibleCurriculum
+from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
+from selfpaced.training import v_step
+
+EXP = get_regularizer("exp")
+HARD = get_regularizer("hard")
+STRICT = [r for r in catalog() if r.name != "hard"]
+
+
+# ==== references ==============================================================
+
+
+def groups_reference(reg, lam, l, partition):
+    v = np.empty(l.size)
+    for block in partition:
+        idx = list(block)
+        v[idx] = reg.weight(lam, float(np.mean(l[idx])))
+    return np.clip(v, 0.0, 1.0)
+
+
+def group_latent_reference(reg, lam, l, partition):
+    total = 0.0
+    for block in partition:
+        idx = list(block)
+        total += len(idx) * float(reg.latent(lam, float(np.mean(l[idx]))))
+    return total
+
+
+def pav_chain_reference(reg, lam, losses):
+    blocks = []  # [sum, count]
+    for x in losses:
+        blocks.append([float(x), 1])
+        while len(blocks) >= 2 and blocks[-1][0] / blocks[-1][1] < blocks[-2][0] / blocks[-2][1]:
+            s, c = blocks.pop()
+            blocks[-1][0] += s
+            blocks[-1][1] += c
+    out = []
+    for s, c in blocks:
+        out += [reg.weight(lam, s / c)] * c
+    return np.array(out)
+
+
+def chains_reference(reg, lam, l, chains):
+    v = np.asarray(reg.weight(lam, l), dtype=float)
+    for chain in chains:
+        v[chain] = pav_chain_reference(reg, lam, l[chain])
+    return np.clip(v, 0.0, 1.0)
+
+
+def scalar_balance(reg, lam, l, k):
+    return lambda beta: float(weight_extended(reg, lam, l - beta * k) @ k)
+
+
+def scalar_bisection(balance, b, lo, hi, tol):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if balance(mid) >= b:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def halfspace_reference(reg, lam, l, h, tol=1e-10):
+    """Single-halfspace v-step by doubling and scalar bisection on beta."""
+    balance = scalar_balance(reg, lam, l, h.k)
+    hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
+    while balance(hi) < h.b:
+        hi *= 2.0
+    beta = scalar_bisection(balance, h.b, 0.0, hi, tol)
+    return np.clip(weight_extended(reg, lam, l - beta * h.k), 0.0, 1.0)
+
+
+def intersection_reference(reg, lam, l, hs, sweeps=200):
+    """Dual coordinate ascent with scalar bisection per constraint."""
+    K = np.stack([h.k for h in hs])
+    b = np.array([h.b for h in hs])
+    mu = np.zeros(len(hs))
+    for _ in range(sweeps):
+        for j, h in enumerate(hs):
+            other = mu.copy()
+            other[j] = 0.0
+            l_eff = l - K.T @ other
+            balance = scalar_balance(reg, lam, l_eff, h.k)
+            if balance(0.0) >= h.b:
+                mu[j] = 0.0
+                continue
+            hi = max(1.0, float(np.linalg.norm(l_eff)) / float(np.linalg.norm(h.k)))
+            while balance(hi) < h.b:
+                hi *= 2.0
+            lo = 0.0
+            while hi - lo > 1e-12 * max(1.0, hi):
+                mid = 0.5 * (lo + hi)
+                if balance(mid) >= h.b:
+                    hi = mid
+                else:
+                    lo = mid
+            mu[j] = hi
+        v = weight_extended(reg, lam, l - K.T @ mu)
+        slack = K @ v - b
+        if slack.min() >= -1e-9 and np.max(mu * np.abs(slack)) <= 1e-8:
+            return np.clip(v, 0.0, 1.0)
+    raise AssertionError("reference dual ascent did not converge")
+
+
+def counting(reg):
+    """A copy of reg whose weight_base counts its calls."""
+    calls = []
+
+    def weight_base(x):
+        calls.append(np.size(x))
+        return reg.weight_base(x)
+
+    copy = SPRegularizer(
+        reg.name, reg.r_sp_base, weight_base, reg.latent_base, r_base_min=reg.r_base_min
+    )
+    return copy, calls
+
+
+def chain_region(n, chains):
+    hs = []
+    for chain in chains:
+        for hi, lo in zip(chain[:-1], chain[1:]):
+            k = np.zeros(n)
+            k[hi], k[lo] = 1.0, -1.0
+            hs.append(Halfspace(k, 0.0))
+    return CurriculumRegion("intersection", tuple(hs))
+
+
+def shuffled_blocks(rng, n, sizes):
+    perm = rng.permutation(n)
+    cuts = np.cumsum((0,) + tuple(sizes))
+    assert cuts[-1] == n
+    return tuple(tuple(int(i) for i in perm[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+# ==== groups ==================================================================
+
+
+@pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
+def test_groups_v_step_matches_per_block_loop(reg):
+    rng = np.random.default_rng(11)
+    n = 57
+    partition = shuffled_blocks(rng, n, (1, 9, 3, 20, 2, 22))
+    region = CurriculumRegion("groups", partition=partition)
+    for lam in (0.3, 1.0, 4.0):
+        l = rng.exponential(1.5, size=n)
+        got = v_step(l, lam, reg, region)
+        assert np.allclose(got, groups_reference(reg, lam, l, partition), rtol=0, atol=1e-12)
+        for block in partition:
+            assert np.ptp(got[list(block)]) == 0.0
+
+
+@pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
+def test_group_latent_matches_per_block_loop(reg):
+    rng = np.random.default_rng(12)
+    n = 40
+    partition = shuffled_blocks(rng, n, (7, 1, 12, 20))
+    l = rng.exponential(1.0, size=n)
+    got = group_latent(reg, 0.8, l, partition)
+    assert got.value == pytest.approx(group_latent_reference(reg, 0.8, l, partition), abs=1e-12)
+    assert np.allclose(got.weights, groups_reference(reg, 0.8, l, partition), rtol=0, atol=1e-12)
+
+
+def test_groups_v_step_makes_one_weight_lookup():
+    reg, calls = counting(EXP)
+    region = CurriculumRegion("groups", partition=((0, 3), (1,), (2, 4, 5)))
+    v_step(np.array([1.0, 2.0, 0.5, 3.0, 0.1, 0.2]), 1.0, reg, region)
+    assert calls == [3]  # the three block means, in one call
+
+
+def test_groups_partition_of_the_wrong_size_raises():
+    region = CurriculumRegion("groups", partition=((0, 2), (1,)))
+    with pytest.raises(BadPartition):
+        v_step(np.ones(4), 1.0, EXP, region)
+    with pytest.raises(BadPartition):
+        v_step(np.ones(2), 1.0, EXP, region)
+    gappy = CurriculumRegion("groups", partition=((0, 3), (1,)))
+    with pytest.raises(BadPartition):
+        v_step(np.ones(3), 1.0, EXP, gappy)
+    with pytest.raises(BadPartition):
+        group_latent(EXP, 1.0, np.ones(3), ((0, 1), (1, 2)))
+
+
+def test_region_decodes_its_partition_once(monkeypatch):
+    region = CurriculumRegion("groups", partition=((0, 1), (2,)))
+    v_step(np.array([1.0, 2.0, 3.0]), 1.0, EXP, region)
+
+    def fail(*args):
+        raise AssertionError("partition decoded again")
+
+    monkeypatch.setattr(curriculum, "check_partition", fail)
+    v_step(np.array([3.0, 2.0, 1.0]), 1.0, EXP, region)
+
+
+# ==== chains ==================================================================
+
+
+@pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
+def test_chain_v_step_matches_per_chain_pav(reg):
+    rng = np.random.default_rng(21)
+    n = 45
+    perm = [int(i) for i in rng.permutation(n)]
+    chains = [perm[0:6], perm[6:8], perm[10:25], perm[30:33]]
+    region = chain_region(n, chains)
+    for lam in (0.5, 1.0, 3.0):
+        l = rng.exponential(1.0, size=n)
+        got = v_step(l, lam, reg, region)
+        assert np.allclose(got, chains_reference(reg, lam, l, chains), rtol=0, atol=1e-12)
+
+
+def test_chain_v_step_pools_reversed_chain_with_hard():
+    region = chain_region(4, [[0, 1, 2, 3]])
+    l = np.array([2.0, 1.5, 0.2, 0.1])  # reversed: every pair violates the order
+    # all four pool to the mean loss 0.95, so they are admitted together or not at all
+    for lam, expected in ((1.0, 1.0), (0.9, 0.0)):
+        got = v_step(l, lam, HARD, region)
+        assert np.array_equal(got, chains_reference(HARD, lam, l, [[0, 1, 2, 3]]))
+        assert np.array_equal(got, [expected] * 4)
+
+
+def test_chain_v_step_makes_two_weight_lookups():
+    reg, calls = counting(EXP)
+    region = chain_region(6, [[0, 1, 2], [3, 4]])
+    v_step(np.array([3.0, 2.0, 1.0, 5.0, 4.0, 0.5]), 1.0, reg, region)
+    assert calls == [6, 2]  # unconstrained weights, then the two pooled blocks
+
+
+# ==== the bracket helper ======================================================
+
+
+def test_batch_width_stays_within_the_element_budget():
+    for support in (1, 2, 22, 1023, 1024, 1025, 2**16, 10**5):
+        width = curriculum._batch_width(support)
+        assert 1 <= width <= 64
+        assert width == 1 or width * support <= 2**16
+    assert curriculum._batch_width(22) == 64
+    assert curriculum._batch_width(10**5) == 1
+
+
+def test_bisect_at_width_one_is_scalar_bisection():
+    rng = np.random.default_rng(31)
+    l = rng.exponential(2.0, size=30)
+    k = np.where(rng.random(30) < 0.4, 1.0, 0.0)
+    b = 0.7 * k.sum()
+    balance, _ = support_balance(EXP, 1.0, l, k)
+    scalar = scalar_balance(EXP, 1.0, l, k)
+    for tol in (1e-6, 1e-10, 1e-13):
+        got = bisect_balance(balance, b, 0.0, 40.0, 1, tol)
+        assert got == scalar_bisection(scalar, b, 0.0, 40.0, tol)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 64])
+def test_bisect_finds_the_jump_of_a_step_balance(width):
+    # hard weights: the balance jumps from 0 to 1 where l - beta crosses the age
+    l, k = np.array([3.25]), np.array([1.0])
+    balance, _ = support_balance(HARD, 1.0, l, k)
+    jump = 2.25
+    for tol in (1e-3, 1e-9, 1e-12):
+        hi = bisect_balance(balance, 0.5, 0.0, 10.0, width, tol)
+        assert balance(np.array([hi]))[0] >= 0.5
+        assert jump <= hi <= jump + tol
+
+
+@pytest.mark.parametrize("width", [1, 3, 16, 64])
+def test_bisect_returns_an_end_that_meets_b(width):
+    rng = np.random.default_rng(32)
+    for trial in range(20):
+        reg = STRICT[trial % len(STRICT)]
+        l = rng.exponential(2.0, size=12)
+        k = rng.normal(size=12)
+        balance, _ = support_balance(reg, 1.0, l, k)
+        lo_val, hi_val = balance(np.array([0.0, 50.0]))
+        b = lo_val + rng.uniform(0.1, 0.9) * (hi_val - lo_val)
+        tol = 10.0 ** -rng.integers(4, 13)
+        hi = bisect_balance(balance, b, 0.0, 50.0, width, tol)
+        assert balance(np.array([hi]))[0] >= b
+        root = scalar_bisection(scalar_balance(reg, 1.0, l, k), b, 0.0, 50.0, 1e-14)
+        assert abs(hi - root) <= tol + 1e-13
+
+
+def test_balance_root_returns_zero_when_already_met_and_raises_when_unreachable():
+    balance, width = support_balance(EXP, 1.0, np.array([0.5, 1.0]), np.array([1.0, 0.0]))
+    assert balance_root(balance, 0.1, 1.0, width, 1e-10) == 0.0
+    with pytest.raises(curriculum.NoRoot):
+        balance_root(balance, 1.5, 1.0, width, 1e-10, max_doublings=10)
+
+
+# ==== halfspace duals =========================================================
+
+
+def trusted_halfspace(rng, n, share, support):
+    k = np.zeros(n)
+    k[rng.choice(n, size=support, replace=False)] = 1.0
+    return Halfspace(k, share * support)
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_halfspace_v_step_matches_scalar_bisection(reg):
+    rng = np.random.default_rng(41)
+    n = 80
+    for trial in range(4):
+        l = rng.exponential(2.0, size=n)
+        h = trusted_halfspace(rng, n, 0.9, 10 + 10 * trial)
+        got = v_step(l, 1.0, reg, CurriculumRegion("halfspace", (h,)))
+        assert float(got @ h.k) >= h.b - 1e-9
+        assert np.allclose(got, halfspace_reference(reg, 1.0, l, h), rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_intersection_v_step_matches_scalar_bisection(reg):
+    rng = np.random.default_rng(42)
+    n = 70
+    for trial in range(3):
+        l = rng.exponential(2.0, size=n)
+        hs = (trusted_halfspace(rng, n, 0.9, 8), trusted_halfspace(rng, n, 0.8, 15))
+        got = v_step(l, 1.0, reg, CurriculumRegion("intersection", hs))
+        for h in hs:
+            assert float(got @ h.k) >= h.b - 1e-9
+        assert np.allclose(got, intersection_reference(reg, 1.0, l, hs), rtol=0, atol=1e-9)
+
+
+def test_halfspace_v_step_with_full_support_at_n_1e5():
+    rng = np.random.default_rng(43)
+    n = 100_000
+    l = rng.exponential(3.0, size=n)
+    k = rng.uniform(0.5, 1.5, size=n)  # every weight enters the balance: width 1
+    h = Halfspace(k, 0.5 * k.sum())
+    got = v_step(l, 1.0, EXP, CurriculumRegion("halfspace", (h,)))
+    assert float(got @ k) >= h.b - 1e-9
+    assert np.allclose(got, halfspace_reference(EXP, 1.0, l, h), rtol=0, atol=1e-9)
+
+
+def test_halfspace_v_step_skips_the_latent_value():
+    h = Halfspace(np.array([1.0, 0.0]), 0.5)
+    res = affine_action(EXP, 1.0, np.array([2.0, 1.0]), h, latent=False)
+    assert math.isnan(res.value)
+    assert res.weights[0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_affine_action_weights_meet_the_offset():
+    rng = np.random.default_rng(44)
+    for reg in STRICT:
+        l = rng.exponential(2.0, size=25)
+        h = trusted_halfspace(rng, 25, 0.8, 10)
+        res = affine_action(reg, 1.0, l, h)
+        assert float(res.weights @ h.k) >= h.b - 1e-12
+
+
+def test_region_rejects_losses_of_another_size():
+    region = CurriculumRegion("halfspace", (Halfspace(np.array([1.0, 0.0, 0.0]), 0.5),))
+    with pytest.raises(BadParam):
+        v_step(np.ones(4), 1.0, EXP, region)
+
+
+def test_infeasible_offset_still_raises_through_the_precheck():
+    region = CurriculumRegion(
+        "intersection",
+        (Halfspace(np.array([1.0, 0.0]), 0.5), Halfspace(np.array([1.0, 1.0]), 2.5)),
+    )
+    with pytest.raises(InfeasibleCurriculum):
+        v_step(np.array([3.0, 3.0]), 1.0, EXP, region)
+
+
+def test_bracket_stops_at_rounding_when_the_tolerance_is_below_it():
+    # beta near 3e7 has a spacing of 3.7e-9, coarser than the 1e-10 tolerance
+    l = np.array([3e7, 1.0])
+    res = affine_action(EXP, 1.0, l, Halfspace(np.array([1.0, 0.0]), 0.5))
+    assert res.weights[0] >= 0.5
+    assert res.weights[0] == pytest.approx(0.5, abs=1e-8)
+    region = CurriculumRegion("halfspace", (Halfspace(np.array([1.0, 0.0]), 0.5),))
+    assert v_step(l, 1.0, EXP, region)[0] == pytest.approx(0.5, abs=1e-8)
