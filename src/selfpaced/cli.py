@@ -9,7 +9,7 @@ Commands:
   fit         run self-paced training on a CSV dataset
   compare     seeded robustness comparison of self-paced fits vs ridge
 
-Global flags: --config <json> (defaults), --out <dir>, --seed <int>.
+Global flags: --config <json> (defaults), --out <dir>.
 Command-line flags override config-file values; every output JSON echoes
 the effective configuration.  Exit codes: 0 success, 1 input/IO error,
 2 mathematical validation failure, 3 iteration-cap exit.
@@ -449,7 +449,6 @@ _FIT_DEFAULTS = {
     "inner_tol": 1e-9,
     "grad_tol": 1e-7,
     "full_weight_threshold": 0.99,
-    "seed": 0,
     "cross_check": False,
 }
 
@@ -468,7 +467,6 @@ def cmd_fit(args) -> int:
         "loss": args.loss,
         "region": _region_flags_to_spec(args),
         "max_inner": args.max_inner,
-        "seed": args.seed,
         "cross_check": True if args.cross_check else None,
     }
     merged = _merge_config(_FIT_DEFAULTS, file_cfg, flags, "fit")
@@ -612,7 +610,6 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file with defaults")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
-        sp.add_argument("--seed", type=int, default=None, help="random seed")
 
     d = sub.add_parser("derive", help="build + validate a regularizer from a curve")
     common(d)

@@ -195,7 +195,6 @@ class TrainConfig:
     inner_tol: float = 1e-9
     grad_tol: float = 1e-7
     full_weight_threshold: float = 0.99
-    seed: int = 0
 
     def __post_init__(self):
         if self.schedule not in ("median", "portion", "fixed"):
@@ -248,7 +247,6 @@ class TrainConfig:
             "inner_tol": self.inner_tol,
             "grad_tol": self.grad_tol,
             "full_weight_threshold": self.full_weight_threshold,
-            "seed": self.seed,
         }
 
 
@@ -279,18 +277,22 @@ def loss_vector(w: np.ndarray, dataset: Dataset, kind: str = "squared") -> np.nd
     raise BadParam(f"unknown loss kind {kind!r}")
 
 
-def loss_gradients(w: np.ndarray, dataset: Dataset, kind: str = "squared") -> np.ndarray:
-    """Rows are the gradients of each per-sample loss at w, shape (n, d)."""
+def _loss_slopes(w: np.ndarray, dataset: Dataset, kind: str) -> np.ndarray:
+    """Derivative of each per-sample loss in its score x_i . w, shape (n,)."""
     scores = dataset.X @ np.asarray(w, dtype=float)
     if kind == "squared":
-        return 2.0 * (scores - dataset.y)[:, None] * dataset.X
+        return 2.0 * (scores - dataset.y)
     if kind == "logistic":
         y = dataset.y
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise BadLabels("logistic loss requires labels in {-1, +1}")
-        sig = 1.0 / (1.0 + np.exp(y * scores))  # sigmoid(-y * score)
-        return (-y * sig)[:, None] * dataset.X
+        return -y / (1.0 + np.exp(y * scores))  # -y * sigmoid(-y * score)
     raise BadParam(f"unknown loss kind {kind!r}")
+
+
+def loss_gradients(w: np.ndarray, dataset: Dataset, kind: str = "squared") -> np.ndarray:
+    """Rows are the gradients of each per-sample loss at w, shape (n, d)."""
+    return _loss_slopes(w, dataset, kind)[:, None] * dataset.X
 
 
 # ==== the w-step ==============================================================
@@ -457,13 +459,15 @@ def v_step(
     block's mean loss; pairwise-order chains -> pool adjacent violators;
     other halfspaces -> dual multiplier search (a batched bracket per
     constraint), which requires a strictly convex penalty and therefore
-    refuses the binary-weight penalty outside the chain case.
+    refuses the binary-weight penalty outside the chain case.  Every route
+    but the duals takes its weights straight from reg.weight, which clips
+    them into [0, 1].
     """
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise BadParam("losses must be nonnegative")
     if region is None or region.kind == "none":
-        return np.clip(np.asarray(reg.weight(lam, l), dtype=float), 0.0, 1.0)
+        return reg.weight(lam, l)
 
     if region.kind == "groups":
         labels, counts = region.group_labels
@@ -472,7 +476,7 @@ def v_step(
                 f"partition covers {labels.size} samples, but there are {l.size} losses"
             )
         _, block_w = block_weights(reg, lam, l, labels, counts)
-        return np.clip(block_w[labels], 0.0, 1.0)
+        return block_w[labels]
 
     if region.dim != l.size:
         raise BadParam(
@@ -481,14 +485,14 @@ def v_step(
     _feasibility_precheck(region)
     v0 = np.asarray(reg.weight(lam, l), dtype=float)
     if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
-        return np.clip(v0, 0.0, 1.0)
+        return v0
 
     if region.chains is not None:
         order, lengths = region.chains
         sums, counts = _pav_chains(l[order].tolist(), lengths)
         v = v0.copy()
         v[order] = np.repeat(np.asarray(reg.weight(lam, sums / counts), dtype=float), counts)
-        return np.clip(v, 0.0, 1.0)
+        return v
 
     if reg.name == "hard":
         raise UnsupportedRegularizer(
@@ -644,9 +648,15 @@ def gradient_norm(
     """||grad G(w)||_2 where G weights each loss gradient by the minimizing v."""
     l = loss_vector(w, dataset, config.loss)
     v = v_step(l, lam, reg, config.region)
-    grads = loss_gradients(w, dataset, config.loss)
-    g = grads.T @ v + 2.0 * config.ridge * w
-    return float(np.linalg.norm(g))
+    return float(np.linalg.norm(_latent_gradient(w, v, dataset, config)))
+
+
+def _latent_gradient(
+    w: np.ndarray, v: np.ndarray, dataset: Dataset, config: TrainConfig
+) -> np.ndarray:
+    """grad G(w) = X^T (dl/dscore * v) + 2 ridge w, for the minimizing weights v at w."""
+    slopes = _loss_slopes(w, dataset, config.loss)
+    return dataset.X.T @ (slopes * v) + 2.0 * config.ridge * w
 
 
 # ==== train state =============================================================
@@ -713,11 +723,17 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
 
     Starts from the unweighted fit, then per stage alternates the v-step and
     w-step until the joint objective decreases by less than inner_tol or
-    max_inner iterations pass.  After the last stage it keeps alternating at
-    the final age until the unweighted-form gradient reaches grad_tol, so
-    the returned parameters are a genuine stationary point (cap: 10 *
-    max_inner extra iterations).  The latent-objective trace is
-    non-increasing within any fixed stage.
+    max_inner iterations pass.  The alternation majorizes and minimizes the
+    latent objective G, so every two steps w0 -> w1 -> w2 are followed by
+    the squared extrapolation of Varadhan & Roland (SQUAREM, 2008): with
+    r = w1 - w0, s = w2 - 2 w1 + w0 and a = max(1, ||r|| / ||s||), the stage
+    moves on from x = w0 + 2a r + a^2 s instead of w2 only when
+    G(x) < G(w2).  Only the alternating steps are recorded, so the
+    latent-objective trace is non-increasing within any fixed stage.  After
+    the last stage it keeps alternating at the final age until the
+    unweighted-form gradient reaches grad_tol, so the returned parameters
+    are a genuine stationary point (cap: 10 * max_inner extra iterations).
+    `converged` is False when any stage or the polish hits its cap.
     """
     reg = get_regularizer(config.regularizer)
     alpha = config.ridge
@@ -727,11 +743,18 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
     losses = loss_vector(w, dataset, config.loss)
     state = TrainState(w=w, v=np.ones(dataset.n), lam=1.0, losses=losses)
 
-    def alternate(lam: float) -> float:
-        """One v-step and w-step at fixed age, recorded; returns the joint objective."""
+    def weigh(lam: float, l: np.ndarray) -> tuple:
+        """The v-step at losses l and its penalty sum."""
+        v = v_step(l, lam, reg, region)
+        return v, sp_penalty_sum(reg, lam, v)
+
+    def alternate(lam: float, weighed: tuple | None = None) -> float:
+        """One v-step and w-step at fixed age, recorded; returns the joint objective.
+
+        `weighed` is weigh(lam, losses) when the caller already has it.
+        """
         nonlocal w, losses
-        v = v_step(losses, lam, reg, region)
-        penalty = sp_penalty_sum(reg, lam, v)  # the same v enters both objectives
+        v, penalty = weighed or weigh(lam, losses)  # the same v enters both objectives
         latent_val = latent_objective(v, losses, lam, reg, alpha, w, penalty)
         w = w_step(v, dataset, config)
         losses = loss_vector(w, dataset, config.loss)
@@ -740,11 +763,40 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
         state.v = v
         return obj
 
+    def extrapolate(lam: float, w0: np.ndarray, w1: np.ndarray) -> tuple:
+        """Move from w2 = w to the SQUAREM point if G is lower there.
+
+        Returns weigh() at the point kept, for the next alternate.
+        """
+        nonlocal w, losses
+        kept = weigh(lam, losses)
+        r = w1 - w0
+        s = w - 2.0 * w1 + w0
+        norm_r, norm_s = float(np.linalg.norm(r)), float(np.linalg.norm(s))
+        if norm_r <= norm_s:  # a = 1 puts x at w2
+            return kept
+        a = norm_r / norm_s
+        x = w0 + 2.0 * a * r + a * a * s
+        lx = loss_vector(x, dataset, config.loss)
+        trial = weigh(lam, lx)
+        gx = latent_objective(trial[0], lx, lam, reg, alpha, x, trial[1])
+        if gx < latent_objective(kept[0], losses, lam, reg, alpha, w, kept[1]):
+            w, losses = x, lx
+            return trial
+        return kept
+
     def run_stage(lam: float) -> bool:
-        """Alternate at fixed age; True if the inner loop converged."""
+        """Alternate at fixed age with extrapolation; True if the inner loop converged."""
         prev_obj = None
+        weighed = None
+        pair = []  # the parameters the current two alternating steps start from
         for _ in range(config.max_inner):
-            obj = alternate(lam)
+            if len(pair) == 2:
+                weighed = extrapolate(lam, *pair)
+                pair = []
+            pair.append(w)
+            obj = alternate(lam, weighed)
+            weighed = None
             if prev_obj is not None and prev_obj - obj < config.inner_tol:
                 return True
             prev_obj = obj
@@ -760,7 +812,7 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
         lam = median_schedule(losses, reg)
         for stage in range(config.stages):
             state.stage_starts.append((len(state.iters), lam))
-            inner_ok = run_stage(lam)
+            inner_ok &= run_stage(lam)
             if float(np.min(state.v)) >= config.full_weight_threshold:
                 break
             if stage + 1 < config.stages:
@@ -770,26 +822,29 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
         for f in config.fractions:
             lam = portion_schedule(losses, f, prev_lam=prev)
             state.stage_starts.append((len(state.iters), lam))
-            inner_ok = run_stage(lam)
+            inner_ok &= run_stage(lam)
             prev = lam
 
     # polish: alternate at the final age until the unweighted-form gradient
-    # is small, so fixed points are stationary points of G
+    # is small, so fixed points are stationary points of G; the v-step taken
+    # for each gradient feeds the next alternate
     polish_ok = True
-    gnorm = gradient_norm(w, dataset, config, lam, reg)
+    weighed = weigh(lam, losses)
+    gnorm = float(np.linalg.norm(_latent_gradient(w, weighed[0], dataset, config)))
     extra = 0
     while gnorm > config.grad_tol:
         if extra >= 10 * config.max_inner:
             polish_ok = False
             break
-        alternate(lam)
+        alternate(lam, weighed)
         extra += 1
-        gnorm = gradient_norm(w, dataset, config, lam, reg)
+        weighed = weigh(lam, losses)
+        gnorm = float(np.linalg.norm(_latent_gradient(w, weighed[0], dataset, config)))
 
     state.w = w
     state.losses = losses
     state.lam = float(lam)
-    state.v = v_step(losses, lam, reg, region)
+    state.v = weighed[0]
     state.converged = bool(inner_ok and polish_ok)
     state.grad_norm = gnorm
     return state
@@ -837,8 +892,7 @@ def latent_descent_fit(
     state = TrainState(w=w, v=v, lam=float(lam), losses=l)
     converged = False
     for _ in range(cap):
-        grads = loss_gradients(w, dataset, config.loss)
-        g = grads.T @ v + 2.0 * alpha * w
+        g = _latent_gradient(w, v, dataset, config)
         gnorm = float(np.linalg.norm(g))
         state.record(lam, val + dataset.n * lam * reg.r_base_min, val, v)
         if gnorm <= config.grad_tol:
@@ -862,7 +916,5 @@ def latent_descent_fit(
     state.v = v
     state.losses = l
     state.converged = converged
-    state.grad_norm = float(
-        np.linalg.norm(loss_gradients(w, dataset, config.loss).T @ v + 2 * alpha * w)
-    )
+    state.grad_norm = float(np.linalg.norm(_latent_gradient(w, v, dataset, config)))
     return state

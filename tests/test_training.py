@@ -16,7 +16,7 @@ from selfpaced.errors import (
 )
 from selfpaced.experiments import make_regression
 from selfpaced.oracles import GridSpec, grid_constrained_inf
-from selfpaced.regularizers import get_regularizer
+from selfpaced.regularizers import catalog, get_regularizer
 from selfpaced.training import (
     Dataset,
     TrainConfig,
@@ -467,6 +467,125 @@ def test_trace_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,lambda,spl_objective,latent_objective"
     assert len(lines) == 1 + d["iterations"]
+
+
+def test_a_capped_intermediate_stage_makes_the_fit_unconverged():
+    ds, _, _ = make_regression(n=30, d=2, seed=1)
+    cfg = TrainConfig(regularizer="hard", max_inner=3, stages=20)
+    state = spl_fit(ds, cfg)
+    starts = [it for it, _ in state.stage_starts] + [len(state.iters)]
+    lengths = np.diff(starts)
+    spl = state.spl_objectives
+    # stage 0 ran out of iterations while its objective still fell by more than
+    # inner_tol; the last stage (with the polish) stopped on its own
+    assert lengths[0] == cfg.max_inner
+    assert spl[1] - spl[2] >= cfg.inner_tol
+    assert lengths[-1] < cfg.max_inner
+    assert state.grad_norm <= cfg.grad_tol
+    assert not state.converged
+
+
+# ==== accelerated alternation =================================================
+
+
+def plain_alternation(dataset, config):
+    """spl_fit's median schedule without extrapolation: every step a v-step
+    and a w-step, stages stopped on the joint objective, then the polish.
+    Returns the final parameters and the number of alternating steps."""
+    reg = get_regularizer(config.regularizer)
+    w = w_step(np.ones(dataset.n), dataset, config)
+    losses = loss_vector(w, dataset, config.loss)
+    steps = 0
+
+    def alternate(lam):
+        nonlocal w, losses, steps
+        v = v_step(losses, lam, reg, config.region)
+        w = w_step(v, dataset, config)
+        losses = loss_vector(w, dataset, config.loss)
+        steps += 1
+        return full_objective(v, losses, lam, reg, config.ridge, w), v
+
+    lam = median_schedule(losses, reg)
+    for stage in range(config.stages):
+        prev = None
+        for _ in range(config.max_inner):
+            obj, v = alternate(lam)
+            if prev is not None and prev - obj < config.inner_tol:
+                break
+            prev = obj
+        if float(np.min(v)) >= config.full_weight_threshold:
+            break
+        if stage + 1 < config.stages:
+            lam = median_schedule(losses, reg, prev_lam=lam, growth=config.growth)
+    for _ in range(10 * config.max_inner):
+        if gradient_norm(w, dataset, config, lam, reg) <= config.grad_tol:
+            break
+        alternate(lam)
+    return w, steps
+
+
+def region_of_kind(kind, n):
+    """A region of each v-step route on n samples (n a multiple of 4)."""
+    if kind == "none":
+        return CurriculumRegion("none")
+    if kind == "groups":
+        return CurriculumRegion("groups", partition=tuple(
+            tuple(range(i, i + 4)) for i in range(0, n, 4)))
+    if kind == "chain":  # earlier samples of each block weigh at least as much
+        hs = []
+        for i in range(0, n, 4):
+            for j in range(i, i + 3):
+                k = np.zeros(n)
+                k[j], k[j + 1] = 1.0, -1.0
+                hs.append(Halfspace(k, 0.0))
+        return CurriculumRegion("intersection", tuple(hs))
+    hs = []
+    for first, share in ((0, 0.9), (n // 4, 0.8)):  # admit most of a quarter
+        k = np.zeros(n)
+        k[first : first + n // 4] = 1.0
+        hs.append(Halfspace(k, share * (n // 4)))
+    return CurriculumRegion(kind, tuple(hs[:1]) if kind == "halfspace" else tuple(hs))
+
+
+@pytest.mark.parametrize("kind", ["none", "groups", "chain", "halfspace", "intersection"])
+def test_extrapolated_alternation_keeps_the_latent_trace_nonincreasing(kind):
+    dual = kind in ("halfspace", "intersection")
+    worst = -math.inf
+    for reg in catalog():
+        if reg.name == "hard" and dual:
+            continue  # binary weights take only pairwise-order chains
+        schedule = {"stages": 8}
+        if reg.name == "log" and dual:
+            # the median schedule starts log near age 1e-7, where the dual
+            # multiplier search is too coarse for a 1e-9 descent check even
+            # without extrapolation; train at a fixed age instead
+            schedule = {"schedule": "fixed", "lam": 1.0}
+        for seed in range(5):
+            ds, _, _ = make_regression(n=40, d=3, outlier_scale=30.0, seed=seed)
+            state = spl_fit(ds, TrainConfig(
+                regularizer=reg.name, region=region_of_kind(kind, ds.n), **schedule))
+            lams = np.array(state.lambdas)
+            trace = np.array(state.latent_objectives)
+            same_stage = lams[1:] == lams[:-1]
+            worst = max(worst, float(np.max(np.diff(trace)[same_stage])))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["hard", "linear", "log", "exp"])
+def test_extrapolated_fit_lands_where_plain_alternation_does(name):
+    for seed in range(3):
+        ds, _, _ = make_regression(n=100, d=3, seed=seed)
+        cfg = TrainConfig(regularizer=name)
+        state = spl_fit(ds, cfg)
+        assert state.converged
+        if name == "log":  # G has several stationary points: ask only for one
+            grad = gradient_norm(state.w, ds, cfg, state.lam, get_regularizer(name))
+            assert grad <= cfg.grad_tol
+            continue
+        w_ref, steps = plain_alternation(ds, cfg)
+        assert np.max(np.abs(state.w - w_ref)) <= 1e-6
+        if name == "exp":
+            assert len(state.iters) < steps
 
 
 # ==== property-based invariants ===============================================
