@@ -29,17 +29,23 @@ from .curriculum import (
     CurriculumActionResult,
     CurriculumRegion,
     affine_action,
-    critical_region_side,
-    curriculum_action_numeric,
     group_latent,
-    homogeneous_action_ray,
-    homogeneous_closed_form,
     latent_extended,
     weight_extended,
 )
 from .errors import SelfPacedError
 from .experiments import SuiteConfig, compare_once, make_regression, run_compare
-from .oracles import GridSpec, finite_diff, grid_constrained_inf, random_concave
+from .oracles import (
+    GridSpec,
+    critical_region_side,
+    curriculum_action_numeric,
+    finite_diff,
+    grid_constrained_inf,
+    homogeneous_action_ray,
+    homogeneous_closed_form,
+    latent_descent_fit,
+    random_concave,
+)
 from .regularizers import (
     SPRegularizer,
     ValidationReport,
@@ -55,7 +61,6 @@ from .training import (
     TrainConfig,
     TrainState,
     gradient_norm,
-    latent_descent_fit,
     latent_objective,
     load_dataset_csv,
     write_dataset_csv,
@@ -87,11 +92,7 @@ __all__ = [
     "CurriculumActionResult",
     "CurriculumRegion",
     "affine_action",
-    "critical_region_side",
-    "curriculum_action_numeric",
     "group_latent",
-    "homogeneous_action_ray",
-    "homogeneous_closed_form",
     "latent_extended",
     "weight_extended",
     "SelfPacedError",
@@ -100,8 +101,13 @@ __all__ = [
     "make_regression",
     "run_compare",
     "GridSpec",
+    "critical_region_side",
+    "curriculum_action_numeric",
     "finite_diff",
     "grid_constrained_inf",
+    "homogeneous_action_ray",
+    "homogeneous_closed_form",
+    "latent_descent_fit",
     "random_concave",
     "SPRegularizer",
     "ValidationReport",
@@ -115,7 +121,6 @@ __all__ = [
     "TrainConfig",
     "TrainState",
     "gradient_norm",
-    "latent_descent_fit",
     "latent_objective",
     "load_dataset_csv",
     "write_dataset_csv",

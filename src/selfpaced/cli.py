@@ -21,20 +21,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .conjugacy import SampledFunction
-from .curriculum import (
-    CurriculumRegion,
-    affine_action,
-    critical_region_side,
-    group_latent,
-    homogeneous_action_ray,
-    homogeneous_closed_form,
-)
-from .errors import BadParam, SelfPacedError, SingularRegion
+from .curriculum import CurriculumRegion, affine_action, group_latent
+from .errors import BadParam, NoRoot, SelfPacedError
 from .experiments import SuiteConfig, run_compare, write_compare_csv
+from .oracles import latent_descent_fit
 from .regularizers import (
     design_from_regularizer,
     design_from_weight,
@@ -42,12 +37,7 @@ from .regularizers import (
     tabulate,
     validate_sp_regularizer,
 )
-from .training import (
-    TrainConfig,
-    latent_descent_fit,
-    load_dataset_csv,
-    spl_fit,
-)
+from .training import TrainConfig, load_dataset_csv, spl_fit
 
 
 class _InputError(Exception):
@@ -127,6 +117,14 @@ def _load_config_file(path) -> dict:
     if not isinstance(data, dict):
         raise _InputError(f"{path}: config must be a JSON object")
     return data
+
+
+def _field_defaults(cls) -> dict:
+    """The default of every field of a dataclass, by field name."""
+    return {
+        f.name: f.default if f.default is not MISSING else f.default_factory()
+        for f in fields(cls)
+    }
 
 
 def _merge_config(defaults: dict, file_cfg: dict, flag_values: dict, where: str) -> dict:
@@ -223,6 +221,35 @@ def _build_regularizer(merged: dict):
     return design_from_regularizer(fn, n=merged["grid_points"])
 
 
+def _validated_regularizer(merged: dict, out: str, errored: str, table_args=None):
+    """Build and validate the regularizer, writing validation.json to `out`.
+
+    With table_args (tabulate's lam, n, span) its penalty, weight and
+    latent tables are written as CSV too.  Returns the regularizer, or None
+    after reporting on stderr when building, validating or tabulating
+    raises (prefixed by `errored`) or a check fails: exit code 2.
+    """
+    try:
+        reg = _build_regularizer(merged)
+        report = validate_sp_regularizer(reg)
+        tables = tabulate(reg, **table_args) if table_args else {}
+    except SelfPacedError as exc:
+        print(f"{errored}: {exc}", file=sys.stderr)
+        return None
+
+    for key, (xs, vals) in tables.items():
+        _write_table_csv(os.path.join(out, f"{key}.csv"), xs, vals)
+    _write_json(
+        os.path.join(out, "validation.json"),
+        {"config": merged, "regularizer": reg.name, "report": report.to_dict()},
+    )
+    if not report.verdict:
+        failed = ", ".join(c.name for c in report.failures())
+        print(f"validation failed: {failed}", file=sys.stderr)
+        return None
+    return reg
+
+
 _DERIVE_DEFAULTS = {
     "pipeline": "from-weight",
     "input": None,
@@ -251,27 +278,9 @@ def cmd_derive(args) -> int:
     if merged["lam"] is None or merged["lam"] <= 0:
         raise _InputError("--lambda must be positive")
     out = _ensure_out(args.out)
-
-    try:
-        reg = _build_regularizer(merged)
-        report = validate_sp_regularizer(reg)
-        tables = tabulate(
-            reg, lam=merged["lam"], n=merged["table_points"], span=merged["span"]
-        )
-    except SelfPacedError as exc:
-        print(f"derivation failed: {exc}", file=sys.stderr)
-        return 2
-
-    for key, fname in (("penalty", "penalty.csv"), ("weight", "weight.csv"), ("latent", "latent.csv")):
-        xs, vals = tables[key]
-        _write_table_csv(os.path.join(out, fname), xs, vals)
-    _write_json(
-        os.path.join(out, "validation.json"),
-        {"config": merged, "regularizer": reg.name, "report": report.to_dict()},
-    )
-    if not report.verdict:
-        failed = ", ".join(c.name for c in report.failures())
-        print(f"validation failed: {failed}", file=sys.stderr)
+    table_args = {"lam": merged["lam"], "n": merged["table_points"], "span": merged["span"]}
+    reg = _validated_regularizer(merged, out, "derivation failed", table_args)
+    if reg is None:
         return 2
     print(f"derived {reg.name}: all checks passed; tables in {out}")
     return 0
@@ -302,21 +311,8 @@ def cmd_validate(args) -> int:
     if merged["regularizer"] is None and merged["pipeline"] is None:
         raise _InputError("validate needs --regularizer or --pipeline/--input")
     out = _ensure_out(args.out)
-
-    try:
-        reg = _build_regularizer(merged)
-        report = validate_sp_regularizer(reg)
-    except SelfPacedError as exc:
-        print(f"validation errored: {exc}", file=sys.stderr)
-        return 2
-
-    _write_json(
-        os.path.join(out, "validation.json"),
-        {"config": merged, "regularizer": reg.name, "report": report.to_dict()},
-    )
-    if not report.verdict:
-        failed = ", ".join(c.name for c in report.failures())
-        print(f"validation failed: {failed}", file=sys.stderr)
+    reg = _validated_regularizer(merged, out, "validation errored")
+    if reg is None:
         return 2
     print(f"{reg.name}: all checks passed")
     return 0
@@ -358,25 +354,14 @@ def cmd_curriculum(args) -> int:
         raise _InputError(str(exc)) from None
     try:
         region = _region_from(merged)
-        if region.kind == "intersection":
-            raise _InputError("curriculum lattice supports halfspace/groups/none regions")
-        if region.kind == "groups":
-            from .curriculum import check_partition
-
-            check_partition(region.partition, 2)
     except SelfPacedError as exc:
         print(f"curriculum setup failed: {exc}", file=sys.stderr)
         return 2
+    if region.kind == "intersection":
+        raise _InputError("curriculum lattice supports halfspace/groups/none regions")
 
     axis = np.linspace(0.0, float(merged["span"]), int(merged["grid"]))
     halfspace = region.halfspaces[0] if region.kind == "halfspace" else None
-    is_exp_pair = (
-        halfspace is not None
-        and halfspace.b == 0.0
-        and reg.name == "exp"
-        and np.count_nonzero(halfspace.k) == 2
-    )
-
     rows = []
     sides = {"unaffected": 0, "penalized": 0}
     boundary = []
@@ -386,29 +371,23 @@ def cmd_curriculum(args) -> int:
             for l2 in axis:
                 l = np.array([l1, l2])
                 base = float(np.sum(reg.latent(lam, l)))
-                if region.kind == "none":
-                    fnew, side = base, "-"
-                elif region.kind == "groups":
+                fnew, side = base, "-"
+                if region.kind == "groups":
                     fnew = group_latent(reg, lam, l, region.partition).value
-                    side = "-"
-                else:
-                    side = critical_region_side(reg, lam, l, halfspace)
-                    if halfspace.b == 0.0:
-                        if is_exp_pair:
-                            fnew = homogeneous_closed_form(reg, lam, l, halfspace).value
-                        else:
-                            fnew = homogeneous_action_ray(reg, lam, l, halfspace).value
-                    else:
-                        fnew = affine_action(reg, lam, l, halfspace).value
+                elif halfspace is not None:
+                    try:
+                        res = affine_action(reg, lam, l, halfspace)
+                        fnew, side = res.value, res.side
+                    except NoRoot:
+                        if halfspace.b != 0.0:
+                            raise
+                        fnew, side = np.inf, "penalized"  # the homogeneous sup diverges
                     sides[side] += 1
                     w = np.asarray(reg.weight(lam, l), dtype=float)
                     if abs(float(w @ halfspace.k) - halfspace.b) <= 1e-9:
                         boundary.append([float(l1), float(l2)])
                 max_excess = max(max_excess, fnew - base)
                 rows.append((float(l1), float(l2), base, float(fnew), side))
-    except SingularRegion as exc:
-        print(f"singular region: {exc}", file=sys.stderr)
-        return 2
     except SelfPacedError as exc:
         print(f"curriculum evaluation failed: {exc}", file=sys.stderr)
         return 2
@@ -434,23 +413,7 @@ def cmd_curriculum(args) -> int:
     return 0
 
 
-_FIT_DEFAULTS = {
-    "dataset": None,
-    "regularizer": "hard",
-    "schedule": "median",
-    "lam": None,
-    "fractions": (),
-    "growth": 1.3,
-    "stages": 16,
-    "ridge": 1e-3,
-    "loss": "squared",
-    "region": None,
-    "max_inner": 200,
-    "inner_tol": 1e-9,
-    "grad_tol": 1e-7,
-    "full_weight_threshold": 0.99,
-    "cross_check": False,
-}
+_FIT_DEFAULTS = {"dataset": None, **_field_defaults(TrainConfig), "cross_check": False}
 
 
 def cmd_fit(args) -> int:
@@ -481,17 +444,12 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from None
 
-    config_dict = {
-        k: v
-        for k, v in merged.items()
-        if k in TrainConfig.__dataclass_fields__
-    }
-    if config_dict.get("region") is None:
+    config_dict = {k: v for k, v in merged.items() if k not in ("dataset", "cross_check")}
+    if config_dict["region"] is None:
         config_dict["region"] = {"kind": "none"}
-    config_dict["fractions"] = tuple(config_dict.get("fractions") or ())
+    config_dict["fractions"] = tuple(config_dict["fractions"] or ())
     try:
         config = TrainConfig.from_dict(config_dict)
-        get_regularizer(config.regularizer)
     except SelfPacedError as exc:
         raise _InputError(f"bad training config: {exc}") from None
 
@@ -500,7 +458,6 @@ def cmd_fit(args) -> int:
         payload = {"config": {**config.to_dict(), "dataset": merged["dataset"]}}
         payload.update(state.to_dict())
         if merged["cross_check"]:
-            reg = get_regularizer(config.regularizer)
             ld = latent_descent_fit(dataset, config, lam=state.lam, w0=state.w)
             payload["cross_check"] = {
                 "grad_norm_at_fixed_point": state.grad_norm,
@@ -520,18 +477,7 @@ def cmd_fit(args) -> int:
     return 0 if state.converged else 3
 
 
-_COMPARE_DEFAULTS = {
-    "n": 100,
-    "d": 5,
-    "noise": 0.1,
-    "outlier_fraction": 0.2,
-    "outlier_scale": 50.0,
-    "seeds": 10,
-    "ridge": 1e-3,
-    "stages": 16,
-    "growth": 1.3,
-    "regularizers": ("hard", "exp"),
-}
+_COMPARE_DEFAULTS = _field_defaults(SuiteConfig)
 
 
 def cmd_compare(args) -> int:
@@ -566,19 +512,17 @@ def cmd_compare(args) -> int:
     out = _ensure_out(args.out)
 
     try:
+        # each field takes the type of its default, as a config file may hold
+        # any JSON value
         suite = SuiteConfig(
-            n=int(merged["n"]),
-            d=int(merged["d"]),
-            noise=float(merged["noise"]),
-            outlier_fraction=float(merged["outlier_fraction"]),
-            outlier_scale=float(merged["outlier_scale"]),
+            **{
+                name: type(default)(merged[name])
+                for name, default in _COMPARE_DEFAULTS.items()
+                if name != "seeds"
+            },
             seeds=seeds,
-            ridge=float(merged["ridge"]),
-            stages=int(merged["stages"]),
-            growth=float(merged["growth"]),
-            regularizers=tuple(merged["regularizers"]),
         )
-    except SelfPacedError as exc:
+    except (SelfPacedError, TypeError, ValueError) as exc:
         raise _InputError(f"bad compare parameters: {exc}") from None
 
     try:
@@ -601,6 +545,12 @@ def cmd_compare(args) -> int:
 
 
 # ==== parser ==================================================================
+
+
+_K_HELP = (
+    "halfspace normal, comma-separated (e.g. '1,-1'); write one whose first "
+    "entry is negative as --k=-1,0.5"
+)
 
 
 def build_parser() -> _Parser:
@@ -632,7 +582,7 @@ def build_parser() -> _Parser:
     common(c)
     c.add_argument("--regularizer")
     c.add_argument("--lambda", dest="lam", type=float)
-    c.add_argument("--k", help="halfspace normal, comma-separated (e.g. '1,-1')")
+    c.add_argument("--k", help=_K_HELP)
     c.add_argument("--b", type=float, help="halfspace offset (default 0)")
     c.add_argument("--groups", help="partition blocks like '0,1' or '0;1'")
     c.add_argument("--grid", type=int, help="lattice points per axis")
@@ -650,7 +600,7 @@ def build_parser() -> _Parser:
     f.add_argument("--stages", type=int)
     f.add_argument("--ridge", type=float)
     f.add_argument("--loss", choices=("squared", "logistic"))
-    f.add_argument("--k", help="curriculum halfspace normal")
+    f.add_argument("--k", help=_K_HELP)
     f.add_argument("--b", type=float, help="curriculum halfspace offset")
     f.add_argument("--groups", help="curriculum partition blocks like '0,1;2'")
     f.add_argument("--max-inner", dest="max_inner", type=int)

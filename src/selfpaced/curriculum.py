@@ -17,11 +17,10 @@ individual entries of l - beta * k below zero, so F is extended there
 linearly (slope one, full weight); the extension is exact whenever a zero
 loss receives full weight, which holds for every regularizer built here.
 
-Functions in this module compute the constrained latent both by that
-one-dimensional reduction (ray search for b = 0, root finding on the scaled
-weight balance for general b, and an explicit formula for exponential
-pairwise orderings) and by direct grid minimization over v as an
-independent reference.
+This module solves that reduction by root finding on the scaled weight
+balance (affine_action, any b), pools losses per block for groups
+(group_latent), and decodes regions for the v-step.  Ray searches, closed
+forms and grid minimization over v are references and live in oracles.
 """
 
 from __future__ import annotations
@@ -34,17 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .conjugacy import Halfspace
-from .errors import (
-    BadParam,
-    BadPartition,
-    EmptyFeasible,
-    NoRoot,
-    SingularRegion,
-    UnsupportedRegularizer,
-)
+from .errors import BadParam, BadPartition, NoRoot, SingularRegion
 from .regularizers import SPRegularizer
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # a batched balance evaluation takes at most this many betas, and at most this
 # many weight lookups in all (betas times the support of the normal)
 _BATCH_POINTS = 64
@@ -341,130 +332,7 @@ class CurriculumActionResult:
         }
 
 
-# ==== classification ==========================================================
-
-
-def critical_region_side(
-    reg: SPRegularizer, lam: float, l, h: Halfspace, tol: float = 1e-12
-) -> str:
-    """Which side of the halfspace the unconstrained weights fall on.
-
-    'unaffected' when <weight(lam, l), k> >= b (boundary counts as
-    satisfied): the constraint is inactive and the latent value is the
-    unconstrained one.  'penalized' otherwise.
-    """
-    l = np.asarray(l, dtype=float)
-    if l.shape != h.k.shape:
-        raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
-    w = np.asarray(reg.weight(lam, l), dtype=float)
-    return "unaffected" if float(w @ h.k) >= h.b - tol else "penalized"
-
-
 # ==== halfspace actions =======================================================
-
-
-def homogeneous_action_ray(
-    reg: SPRegularizer,
-    lam: float,
-    l,
-    h: Halfspace,
-    tol: float = 1e-12,
-    max_doublings: int = 200,
-) -> CurriculumActionResult:
-    """Latent under a homogeneous halfspace { v : <k, v> >= 0 } by ray search.
-
-    Maximizes the concave map t -> F_ext(l - t * k) over t >= 0 with
-    bracketing and golden-section refinement.  When the map keeps growing
-    (possible when the latent is unbounded along the ray) the result has
-    status 'diverged' and value +inf.
-    """
-    if abs(h.b) > 0:
-        raise BadParam("ray search applies to homogeneous halfspaces (b = 0)")
-    l = np.asarray(l, dtype=float)
-    if l.shape != h.k.shape:
-        raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
-    value_at = lambda t: _joint_latent_ext(reg, lam, l - t * h.k)
-
-    side = critical_region_side(reg, lam, l, h)
-    if side == "unaffected":
-        w = np.asarray(reg.weight(lam, l), dtype=float)
-        return CurriculumActionResult(value_at(0.0), w, 0.0, side)
-
-    # bracket a maximizer: expand until the value stops improving
-    scale = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-    t_hi = scale
-    f_prev, f_hi = value_at(0.0), value_at(t_hi)
-    doublings = 0
-    while f_hi > f_prev + tol * max(1.0, abs(f_hi)):
-        t_hi *= 2.0
-        f_prev, f_hi = f_hi, value_at(t_hi)
-        doublings += 1
-        if doublings > max_doublings:
-            return CurriculumActionResult(np.inf, None, np.inf, side, status="diverged")
-
-    lo, hi = 0.0, t_hi
-    a = hi - _GOLDEN * (hi - lo)
-    b = lo + _GOLDEN * (hi - lo)
-    fa, fb = value_at(a), value_at(b)
-    while hi - lo > tol * max(1.0, hi):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + _GOLDEN * (hi - lo)
-            fb = value_at(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - _GOLDEN * (hi - lo)
-            fa = value_at(a)
-    t_star = 0.5 * (lo + hi)
-    w = weight_extended(reg, lam, l - t_star * h.k)
-    return CurriculumActionResult(value_at(t_star), w, t_star, side)
-
-
-def homogeneous_closed_form(
-    reg: SPRegularizer, lam: float, l, h: Halfspace
-) -> CurriculumActionResult:
-    """Closed-form latent for an exponential pairwise ordering constraint.
-
-    Supports the exponential regularizer with k carrying exactly two
-    nonzero entries of equal magnitude and opposite sign and b = 0, i.e.
-    the constraint v_i >= v_j.  If the losses already satisfy l_i <= l_j
-    the latent is unchanged; otherwise the two samples pool, both take
-    weight exp(-mean / lam), and their combined latent is
-    2 * lam * (1 - exp(-(l_i + l_j) / (2 * lam))).  Remaining coordinates
-    contribute their separable latents.
-    """
-    if reg.name != "exp":
-        raise UnsupportedRegularizer(
-            f"closed form is specific to the exponential regularizer, got {reg.name!r}"
-        )
-    if abs(h.b) > 0:
-        raise UnsupportedRegularizer("closed form requires a homogeneous halfspace (b = 0)")
-    l = np.asarray(l, dtype=float)
-    if l.shape != h.k.shape:
-        raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
-    nz = np.flatnonzero(h.k)
-    if nz.size != 2 or not math.isclose(h.k[nz[0]], -h.k[nz[1]], rel_tol=1e-12):
-        raise UnsupportedRegularizer(
-            "closed form requires exactly two nonzero entries of equal "
-            "magnitude and opposite sign in k"
-        )
-    i, j = (nz[0], nz[1]) if h.k[nz[0]] > 0 else (nz[1], nz[0])
-    alpha = abs(float(h.k[nz[0]]))
-
-    others = np.ones(l.size, dtype=bool)
-    others[[i, j]] = False
-    rest = float(np.sum(reg.latent(lam, l[others]))) if others.any() else 0.0
-    weights = np.asarray(reg.weight(lam, l), dtype=float)
-
-    if l[i] <= l[j]:  # ordering already satisfied: constraint inactive
-        pair = float(reg.latent(lam, l[i]) + reg.latent(lam, l[j]))
-        return CurriculumActionResult(rest + pair, weights, 0.0, "unaffected")
-
-    mean = 0.5 * (float(l[i]) + float(l[j]))
-    pooled = -2.0 * lam * math.expm1(-mean / lam)
-    weights[i] = weights[j] = math.exp(-mean / lam)
-    beta = (float(l[i]) - float(l[j])) / (2.0 * alpha)
-    return CurriculumActionResult(rest + pooled, weights, beta, "penalized")
 
 
 def _batch_width(support: int) -> int:
@@ -607,57 +475,3 @@ def group_latent(
     per_block = counts * np.asarray(reg.latent(lam, means), dtype=float)
     total = float(sum(per_block))  # a running sum in block order
     return CurriculumActionResult(total, block_w[labels], None, "-")
-
-
-# ==== direct reference by grid minimization ===================================
-
-
-def curriculum_action_numeric(
-    reg: SPRegularizer,
-    lam: float,
-    l,
-    region: CurriculumRegion,
-    points_per_axis: int = 201,
-) -> CurriculumActionResult:
-    """Constrained latent by direct minimization of v . l + sum r_sp(v_i).
-
-    Scans a uniform grid over the feasible weights (per block for a groups
-    region) and subtracts the n * lam * min r normalization, matching the
-    latent convention of the one-dimensional reductions.  Intended as an
-    independent reference for small problems: at most three grid axes.
-    """
-    l = np.asarray(l, dtype=float)
-    n = l.size
-    if region.kind == "groups":
-        blocks = check_partition(region.partition, n)
-        axes = len(blocks)
-    else:
-        blocks = tuple((i,) for i in range(n))
-        axes = n
-    if axes > 3:
-        raise BadParam(f"numeric reference supports at most 3 grid axes, got {axes}")
-
-    grid = np.linspace(0.0, 1.0, points_per_axis)
-    mesh = np.meshgrid(*([grid] * axes), indexing="ij")
-    vb = np.stack([m.ravel() for m in mesh], axis=-1)  # (points, axes) block values
-    v_full = np.empty((vb.shape[0], n))
-    for a, block in enumerate(blocks):
-        for i in block:
-            v_full[:, i] = vb[:, a]
-
-    rv = np.zeros(vb.shape[0])
-    for a, block in enumerate(blocks):
-        ra = np.asarray(reg.r_sp_base(vb[:, a]), dtype=float)
-        rv += len(block) * lam * ra
-    objective = v_full @ l + rv
-
-    feasible = np.isfinite(objective)
-    if region.kind in ("halfspace", "intersection"):
-        feasible &= region.feasible_mask(v_full)
-    if not feasible.any():
-        raise EmptyFeasible("no grid point satisfies the region constraints")
-
-    masked = np.where(feasible, objective, np.inf)
-    at = int(np.argmin(masked))
-    value = float(masked[at]) - n * lam * reg.r_base_min
-    return CurriculumActionResult(value, v_full[at].copy(), None, "-")

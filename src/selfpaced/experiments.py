@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParam
+from .regularizers import get_regularizer
 from .training import Dataset, TrainConfig, spl_fit, w_step
 
 
@@ -43,6 +44,8 @@ class SuiteConfig:
             raise BadParam("need at least one seed")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "regularizers", tuple(self.regularizers))
+        for name in self.regularizers:
+            get_regularizer(name)  # BadParam unless a catalog name
 
 
 def make_regression(

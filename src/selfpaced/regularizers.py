@@ -275,6 +275,12 @@ def catalog() -> list[SPRegularizer]:
 
 
 def get_regularizer(name: str) -> SPRegularizer:
+    """The catalog regularizer of this name; BadParam for any other value."""
+    if not isinstance(name, str):
+        raise BadParam(
+            "regularizer must be a catalog name (hard/linear/log/exp), "
+            f"got a {type(name).__name__}"
+        )
     for reg in catalog():
         if reg.name == name.lower():
             return reg

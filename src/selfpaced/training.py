@@ -11,16 +11,16 @@ samples over time.  The same problem has an equivalent unweighted form
 
     G(w) = sum_i latent(lam, l_i(w)) + alpha * ||w||^2
 
-whose gradient weights samples by weight(lam, l_i); latent_descent_fit
-minimizes G directly and is used to cross-check fixed points of the
-alternating scheme.
+whose gradient weights samples by weight(lam, l_i); the reference
+oracles.latent_descent_fit minimizes G directly and cross-checks fixed points
+of the alternating scheme.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -197,6 +197,7 @@ class TrainConfig:
     full_weight_threshold: float = 0.99
 
     def __post_init__(self):
+        get_regularizer(self.regularizer)  # BadParam unless a catalog name
         if self.schedule not in ("median", "portion", "fixed"):
             raise BadParam(f"unknown schedule {self.schedule!r}")
         if self.loss not in ("squared", "logistic"):
@@ -233,21 +234,10 @@ class TrainConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "regularizer": self.regularizer,
-            "schedule": self.schedule,
-            "lam": self.lam,
-            "fractions": list(self.fractions),
-            "growth": self.growth,
-            "stages": self.stages,
-            "ridge": self.ridge,
-            "loss": self.loss,
-            "region": self.region.to_dict(),
-            "max_inner": self.max_inner,
-            "inner_tol": self.inner_tol,
-            "grad_tol": self.grad_tol,
-            "full_weight_threshold": self.full_weight_threshold,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["fractions"] = list(self.fractions)
+        d["region"] = self.region.to_dict()
+        return d
 
 
 def validate_fractions(fractions: Sequence[float]):
@@ -847,74 +837,4 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
     state.v = weighed[0]
     state.converged = bool(inner_ok and polish_ok)
     state.grad_norm = gnorm
-    return state
-
-
-# ==== direct descent on the unweighted form ===================================
-
-
-def latent_descent_fit(
-    dataset: Dataset,
-    config: TrainConfig,
-    lam: float | None = None,
-    w0: np.ndarray | None = None,
-    max_iter: int | None = None,
-) -> TrainState:
-    """Gradient descent on G(w) = sum_i latent(lam, l_i(w)) + ridge * ||w||^2.
-
-    The gradient weights each sample's loss gradient by its minimizing
-    weight (with the curriculum-constrained weights when a region is
-    active); at kinks of the binary-weight penalty the tie-break weight of
-    the weight map is used as the descent direction.  Armijo backtracking
-    guarantees monotone objective decrease; stops when the gradient norm
-    reaches grad_tol.
-    """
-    reg = get_regularizer(config.regularizer)
-    alpha = config.ridge
-    if lam is None:
-        if config.lam is None:
-            raise BadParam("latent_descent_fit needs an age: set lam or config.lam")
-        lam = float(config.lam)
-    cap = max_iter if max_iter is not None else 50 * config.max_inner
-
-    w = (
-        np.asarray(w0, dtype=float).copy()
-        if w0 is not None
-        else w_step(np.ones(dataset.n), dataset, config)
-    )
-
-    def G(w_):
-        l = loss_vector(w_, dataset, config.loss)
-        v = v_step(l, lam, reg, config.region)
-        return latent_objective(v, l, lam, reg, alpha, w_), l, v
-
-    val, l, v = G(w)
-    state = TrainState(w=w, v=v, lam=float(lam), losses=l)
-    converged = False
-    for _ in range(cap):
-        g = _latent_gradient(w, v, dataset, config)
-        gnorm = float(np.linalg.norm(g))
-        state.record(lam, val + dataset.n * lam * reg.r_base_min, val, v)
-        if gnorm <= config.grad_tol:
-            converged = True
-            break
-        t = 1.0 / max(1.0, gnorm)
-        accepted = False
-        while t > 1e-20:
-            cand = w - t * g
-            cand_val, cand_l, cand_v = G(cand)
-            if cand_val <= val - 1e-4 * t * gnorm**2:
-                w, val, l, v = cand, cand_val, cand_l, cand_v
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = gnorm <= 10 * config.grad_tol
-            break
-
-    state.w = w
-    state.v = v
-    state.losses = l
-    state.converged = converged
-    state.grad_norm = float(np.linalg.norm(_latent_gradient(w, v, dataset, config)))
     return state

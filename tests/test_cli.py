@@ -7,6 +7,14 @@ import numpy as np
 import pytest
 
 from selfpaced.cli import main
+from selfpaced.conjugacy import Halfspace
+from selfpaced.curriculum import CurriculumRegion
+from selfpaced.oracles import (
+    critical_region_side,
+    curriculum_action_numeric,
+    homogeneous_action_ray,
+)
+from selfpaced.regularizers import catalog
 
 DATASET = "data/outliers_small.csv"
 PLANTED_OUTLIERS = [4, 5, 11, 13, 15, 20, 23, 38]
@@ -151,6 +159,52 @@ def test_curriculum_groups_and_none(tmp_path):
     assert np.allclose(rows[:, 2], rows[:, 3], atol=1e-12)
 
 
+def read_lattice(path):
+    """The lattice rows as ((l1, l2), F, Fnew, side) tuples."""
+    rows = []
+    for line in path.read_text().splitlines()[1:]:
+        l1, l2, base, fnew, side = line.split(",")
+        rows.append((np.array([float(l1), float(l2)]), float(base), float(fnew), side))
+    return rows
+
+
+@pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
+@pytest.mark.parametrize("k, b", [("1,-1", 0.0), ("-1,0.5", 0.0), ("1,0", 0.3)])
+def test_curriculum_lattice_matches_the_references(tmp_path, reg, k, b):
+    out = tmp_path / "lat"
+    code = main(["curriculum", "--regularizer", reg.name, "--lambda", "1", f"--k={k}",
+                 "--b", str(b), "--grid", "11", "--out", str(out)])
+    assert code == 0
+    h = Halfspace(np.array([float(t) for t in k.split(",")]), b)
+    region = CurriculumRegion("halfspace", (h,))
+    for l, _, fnew, side in read_lattice(out / "lattice.csv"):
+        if b == 0.0:
+            ref = homogeneous_action_ray(reg, 1.0, l, h)  # +inf where it diverges
+            assert side == ref.side
+            assert fnew == pytest.approx(ref.value, abs=1e-9)
+        else:
+            assert side == critical_region_side(reg, 1.0, l, h)
+            ref = curriculum_action_numeric(reg, 1.0, l, region)
+            assert fnew == pytest.approx(ref.value, abs=1e-3)
+
+
+def test_curriculum_diverging_homogeneous_latent_is_written_as_inf(tmp_path):
+    # log weights min(1, 1/l) never vanish, so no multiplier pushes the
+    # second weight down to the constraint v_2 <= 0
+    out = tmp_path / "lat"
+    code = main(["curriculum", "--regularizer", "log", "--lambda", "1", "--k=0,-1",
+                 "--b", "0", "--grid", "5", "--out", str(out)])
+    assert code == 0
+    rows = read_lattice(out / "lattice.csv")
+    assert all(fnew == math.inf and side == "penalized" for _, _, fnew, side in rows)
+
+
+def test_curriculum_offset_above_the_box_cap_exits_two(tmp_path):
+    code = main(["curriculum", "--regularizer", "exp", "--k", "1,-1", "--b", "1.5",
+                 "--grid", "5", "--out", str(tmp_path)])
+    assert code == 2
+
+
 def test_curriculum_zero_normal_exits_two(tmp_path):
     code = main(["curriculum", "--regularizer", "exp", "--lambda", "1",
                  "--k", "0,0", "--b", "0", "--grid", "5", "--out", str(tmp_path)])
@@ -225,6 +279,27 @@ def test_fit_flags_override_config_file_values(tmp_path):
     assert merged["stages"] == 4  # file fills the unset key
 
 
+def test_fit_echoes_the_full_default_configuration(tmp_path):
+    out = tmp_path / "f9"
+    assert main(["fit", "--dataset", DATASET, "--regularizer", "exp", "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["config"] == {
+        "dataset": DATASET,
+        "fractions": [],
+        "full_weight_threshold": 0.99,
+        "grad_tol": 1e-07,
+        "growth": 1.3,
+        "inner_tol": 1e-09,
+        "lam": None,
+        "loss": "squared",
+        "max_inner": 200,
+        "region": {"kind": "none"},
+        "regularizer": "exp",
+        "ridge": 0.001,
+        "schedule": "median",
+        "stages": 16,
+    }
+
+
 def test_fit_group_region_from_flags(tmp_path):
     out = tmp_path / "f8"
     # the partition must cover every sample; split the 40 rows into two blocks
@@ -276,6 +351,25 @@ def test_compare_bare_seeds_value_is_a_count(tmp_path):
     assert main(["compare", "--seeds", "", "--out", str(tmp_path / "x")]) == 1
 
 
+def test_compare_echoes_the_full_default_configuration(tmp_path):
+    out = tmp_path / "c"
+    code = main(["compare", "--n", "30", "--d", "2", "--seeds", "1", "--stages", "6",
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["config"] == {
+        "d": 2,
+        "growth": 1.3,
+        "n": 30,
+        "noise": 0.1,
+        "outlier_fraction": 0.2,
+        "outlier_scale": 50.0,
+        "regularizers": ["hard", "exp"],
+        "ridge": 0.001,
+        "seeds": [0],
+        "stages": 6,
+    }
+
+
 # ==== global behavior =========================================================
 
 
@@ -288,6 +382,8 @@ def test_unknown_regularizer_name_exits_one_everywhere(tmp_path):
                  "--out", str(tmp_path / "c")]) == 1
     assert main(["fit", "--dataset", DATASET, "--regularizer", "mystery",
                  "--out", str(tmp_path / "f")]) == 1
+    assert main(["compare", "--regularizers", "hard,mystery",
+                 "--out", str(tmp_path / "m")]) == 1
 
 
 def test_every_command_echoes_its_configuration(tmp_path):

@@ -10,11 +10,7 @@ from selfpaced.curriculum import (
     CurriculumRegion,
     affine_action,
     check_partition,
-    critical_region_side,
-    curriculum_action_numeric,
     group_latent,
-    homogeneous_action_ray,
-    homogeneous_closed_form,
     latent_extended,
     weight_extended,
 )
@@ -25,6 +21,12 @@ from selfpaced.errors import (
     NoRoot,
     SingularRegion,
     UnsupportedRegularizer,
+)
+from selfpaced.oracles import (
+    critical_region_side,
+    curriculum_action_numeric,
+    homogeneous_action_ray,
+    homogeneous_closed_form,
 )
 from selfpaced.regularizers import get_regularizer
 

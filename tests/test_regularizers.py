@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfpaced.errors import BadParam
+from selfpaced.experiments import SuiteConfig
 from selfpaced.regularizers import (
     SPRegularizer,
     catalog,
@@ -14,6 +15,7 @@ from selfpaced.regularizers import (
     tabulate,
     validate_sp_regularizer,
 )
+from selfpaced.training import TrainConfig
 
 HARD = get_regularizer("hard")
 LINEAR = get_regularizer("linear")
@@ -31,6 +33,16 @@ def test_catalog_names():
 def test_get_regularizer_unknown_name():
     with pytest.raises(BadParam):
         get_regularizer("mystery")
+
+
+@pytest.mark.parametrize("name", ["mystery", None, 3, EXP])
+def test_configs_take_only_catalog_names(name):
+    with pytest.raises(BadParam):
+        get_regularizer(name)
+    with pytest.raises(BadParam):
+        TrainConfig(regularizer=name)
+    with pytest.raises(BadParam):
+        SuiteConfig(regularizers=("hard", name))
 
 
 def test_base_penalty_minima():

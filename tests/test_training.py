@@ -15,14 +15,13 @@ from selfpaced.errors import (
     UnsupportedRegularizer,
 )
 from selfpaced.experiments import make_regression
-from selfpaced.oracles import GridSpec, grid_constrained_inf
+from selfpaced.oracles import GridSpec, grid_constrained_inf, latent_descent_fit
 from selfpaced.regularizers import catalog, get_regularizer
 from selfpaced.training import (
     Dataset,
     TrainConfig,
     full_objective,
     gradient_norm,
-    latent_descent_fit,
     latent_objective,
     load_dataset_csv,
     loss_gradients,
