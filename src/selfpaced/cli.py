@@ -131,6 +131,9 @@ def _merge_config(defaults: dict, file_cfg: dict, flag_values: dict, where: str)
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise _InputError(f"{where}: unknown config keys: {sorted(unknown)}")
+    nulls = sorted(k for k, v in file_cfg.items() if v is None and defaults[k] is not None)
+    if nulls:
+        raise _InputError(f"{where}: config keys may not be null: {nulls}")
     merged = dict(defaults)
     merged.update(file_cfg)
     for key, val in flag_values.items():
@@ -445,8 +448,6 @@ def cmd_fit(args) -> int:
         raise _InputError(str(exc)) from None
 
     config_dict = {k: v for k, v in merged.items() if k not in ("dataset", "cross_check")}
-    if config_dict["region"] is None:
-        config_dict["region"] = {"kind": "none"}
     config_dict["fractions"] = tuple(config_dict["fractions"] or ())
     try:
         config = TrainConfig.from_dict(config_dict)

@@ -25,9 +25,10 @@ forms and grid minimization over v are references and live in oracles.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -128,12 +129,15 @@ class CurriculumRegion:
     halfspace kinds the normals live in `halfspaces`; for 'groups' the block
     structure lives in `partition`.  The array forms the v-step works with
     (block labels, chains, the nonzeros of the normals) are decoded once, on
-    first use.
+    first use.  A region built by its constructor is stateless; only the
+    copy that warm_copy() returns records multipliers.
     """
 
     kind: str = "none"
     halfspaces: tuple = field(default_factory=tuple)
     partition: tuple = field(default_factory=tuple)
+    # the last dual multiplier of each halfspace, on a warm_copy() only
+    _multipliers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "halfspace", "intersection", "groups"):
@@ -216,6 +220,21 @@ class CurriculumRegion:
         for h in self.halfspaces:
             mask &= v @ h.k >= h.b - tol
         return mask
+
+    def warm_copy(self) -> "CurriculumRegion":
+        """A copy whose dual v-steps start from the multipliers of the last one.
+
+        The halfspace and intersection routes read each halfspace's last
+        multiplier from the copy and write the new one back, so a run of
+        v-steps on nearby losses brackets every root in a few evaluations.
+        Regions without a dual route are returned as they are.  The copy
+        shares the decoded forms already computed.
+        """
+        if not self.halfspaces or self.chains is not None:
+            return self
+        twin = copy.copy(self)
+        object.__setattr__(twin, "_multipliers", np.zeros(len(self.halfspaces)))
+        return twin
 
     # -- decoded forms, computed once per region --------------------------------
 
@@ -359,6 +378,38 @@ def support_balance(reg: SPRegularizer, lam: float, l: np.ndarray, k: np.ndarray
     return balance, _batch_width(support.size)
 
 
+@lru_cache(maxsize=None)
+def _fractions(m: int) -> np.ndarray:
+    """(1, ..., m) / (m + 1): where m evenly spaced points split a bracket."""
+    t = np.arange(1, m + 1) / (m + 1)
+    t.flags.writeable = False
+    return t
+
+
+def _narrow(balance, b, pts, lo, f_lo, hi, f_hi):
+    """Evaluate the sorted pts in one call and keep the sub-bracket straddling b.
+
+    (lo, f_lo) and (hi, f_hi) are the bracket's ends and their balances;
+    returns the new ones.
+    """
+    vals = balance(pts)
+    meets = vals >= b
+    j = int(meets.argmax())
+    if not meets[j]:
+        j = pts.size
+    if j > 0:
+        lo, f_lo = float(pts[j - 1]), float(vals[j - 1])
+    if j < pts.size:
+        hi, f_hi = float(pts[j]), float(vals[j])
+    return lo, f_lo, hi, f_hi
+
+
+def _bisect_round(balance, b, lo, f_lo, hi, f_hi, width):
+    """_narrow at `width` evenly spaced interior points of the bracket."""
+    t = _fractions(width)
+    return _narrow(balance, b, (1.0 - t) * lo + t * hi, lo, f_lo, hi, f_hi)
+
+
 def bisect_balance(
     balance, b: float, lo: float, hi: float, width: int, atol: float, rtol: float = 0.0
 ) -> float:
@@ -368,17 +419,76 @@ def bisect_balance(
     and keeps the sub-bracket that straddles b, until hi - lo is at most
     max(atol, rtol * hi).  At width 1 this is plain bisection.
     """
-    t = np.arange(1, width + 1) / (width + 1)
     while hi - lo > max(atol, rtol * hi):
-        pts = (1.0 - t) * lo + t * hi
-        meets = balance(pts) >= b
-        j = int(np.argmax(meets)) if meets.any() else width
-        new_lo = float(pts[j - 1]) if j > 0 else lo
-        new_hi = float(pts[j]) if j < width else hi
+        new_lo, _, new_hi, _ = _bisect_round(balance, b, lo, None, hi, None, width)
         if (new_lo, new_hi) == (lo, hi):
             break  # the bracket is down to rounding
         lo, hi = new_lo, new_hi
     return hi
+
+
+def _secant_shrink(balance, b, lo, f_lo, hi, f_hi, width, atol, rtol):
+    """Shrink a bracket f_lo < b <= f_hi like bisect_balance, superlinearly.
+
+    Each round is one call.  It evaluates the secant point s of the bracket,
+    kept at least tol / 2 inside it, with the offsets s -+ tol * 4**j / 64
+    that straddle it, where tol = max(atol, rtol * s); they close the
+    bracket from both sides, to well inside tol once s is that close to the
+    root.  Evenly spaced points fill the rest of the batch.  The secant uses
+    the Illinois modification (an end kept twice in a row has its residual
+    halved), and when three rounds leave the bracket wider than half its
+    width before them, one bisection round follows, so a balance with kinks
+    or steps still converges.  Returns the feasible end hi.
+    """
+    scales = 4.0 ** np.arange((width - 1) // 2) / 64.0
+    signed = np.concatenate((-scales[::-1], [0.0], scales))
+    g_lo, g_hi = f_lo - b, f_hi - b  # residuals, Illinois-scaled
+    kept = 0  # the end the last round kept: -1 lo, 1 hi, 0 neither
+    before = [math.inf, math.inf]  # the bracket's width before the last two rounds
+    while hi - lo > max(atol, rtol * hi):
+        start = (lo, hi)
+        s = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        tol = max(atol, rtol * s)
+        s = min(max(s, lo + 0.5 * tol), hi - 0.5 * tol)  # a step of at least tol / 2
+        pts = s + tol * signed
+        pts = pts[(lo < pts) & (pts < hi)]
+        fill = width - pts.size
+        if fill:
+            pts = np.sort(np.concatenate((pts, lo + (hi - lo) * _fractions(fill))))
+        lo, f_lo, hi, f_hi = _narrow(balance, b, pts, lo, f_lo, hi, f_hi)
+        now = (lo != start[0]) - (hi != start[1])  # 1: only lo moved, -1: only hi
+        g_lo = g_lo * 0.5 if now == -1 and kept == -1 else f_lo - b
+        g_hi = g_hi * 0.5 if now == 1 and kept == 1 else f_hi - b
+        kept = now
+        if hi - lo > 0.5 * before[0]:  # three rounds without halving
+            lo, f_lo, hi, f_hi = _bisect_round(balance, b, lo, f_lo, hi, f_hi, width)
+            if (lo, hi) == start:
+                break  # the bracket is down to rounding
+            g_lo, g_hi, kept = f_lo - b, f_hi - b, 0
+        before = [before[1], start[1] - start[0]]
+    return hi
+
+
+# the cold search tries 0 and hi * 8**j from j = -12 on; its first call stops
+# at j = 9, which brackets any root up to hi * 8**9 within a factor 8.  A warm
+# start beta0 first tries 0 and beta0 * (1 -+ 2**-j), j = 1..20, 2 beta0 and
+# 4 beta0, which brackets a root that moved by under half of beta0.
+_LADDER = 8.0 ** np.arange(-12, 67)
+_LADDER_FIRST = 22
+_CLUSTER = np.concatenate(
+    (1.0 - 2.0 ** -np.arange(1, 21), 1.0 + 2.0 ** -np.arange(20, 0, -1), [2.0, 4.0])
+)
+
+
+def _candidates(hi: float, top: float, start: float | None):
+    """The sorted sets of betas that balance_root searches in turn, none above top."""
+    if start is not None and start > 0:
+        cluster = start * _CLUSTER
+        yield cluster[cluster <= top]
+    ladder = hi * _LADDER
+    ladder = np.append(ladder[ladder < top], top)
+    yield ladder[:_LADDER_FIRST]
+    yield ladder[_LADDER_FIRST:]
 
 
 def balance_root(
@@ -389,25 +499,39 @@ def balance_root(
     atol: float,
     rtol: float = 0.0,
     max_doublings: int = 200,
+    start: float | None = None,
 ) -> float:
     """Least beta >= 0 with balance(beta) >= b, returned from the feasible side.
 
-    Returns 0 when balance(0) >= b.  Otherwise tries hi, 2 hi, 4 hi, ...
-    (width of them per call) for a bracket and shrinks it with
-    bisect_balance.  Raises NoRoot when the balance stays below b after
-    max_doublings doublings.
+    Returns 0 when balance(0) >= b.  Otherwise brackets the root and returns
+    the feasible end of a bracket no wider than max(atol, rtol * end).  The
+    first batched call evaluates 0 with a cluster around `start` when one
+    is given (> 0), else with a geometric ladder from hi * 8**-12 to hi * 8**9;
+    when the cluster misses the root, the ladder follows.  A set larger than
+    the batch `width` is searched `width` points at a time, spread evenly
+    over the points still in question.  The bracket then shrinks by
+    safeguarded secant rounds.  Raises NoRoot when the balance stays below b
+    up to hi * 2**max_doublings.
     """
-    candidates = np.concatenate(([0.0], hi * 2.0 ** np.arange(max_doublings + 1)))
-    for start in range(0, candidates.size, width):
-        meets = balance(candidates[start : start + width]) >= b
-        if meets.any():
-            at = start + int(np.argmax(meets))
-            if at == 0:
+    lo, f_lo, up, f_up = -math.inf, math.nan, math.inf, math.nan
+    for pts in _candidates(hi, hi * 2.0**max_doublings, start):
+        inside = pts[(lo < pts) & (pts < up)]
+        while inside.size:
+            first = lo < 0  # the first call also decides beta = 0
+            m = min(width - first, inside.size)
+            pick = inside[(np.arange(1, m + 1) * (inside.size + 1)) // (m + 1) - 1]
+            if first:
+                pick = np.concatenate(([0.0], pick))
+            lo, f_lo, up, f_up = _narrow(balance, b, pick, lo, f_lo, up, f_up)
+            if up == 0.0:
                 return 0.0
-            return bisect_balance(
-                balance, b, float(candidates[at - 1]), float(candidates[at]), width, atol, rtol
-            )
-    raise NoRoot("weight balance never reaches the offset b along the ray")
+            inside = pts[(lo < pts) & (pts < up)]
+        # a bracket [0, up] means the cluster lay above the root: use the ladder
+        if lo > 0 and up < math.inf:
+            break
+    if up == math.inf:
+        raise NoRoot("weight balance never reaches the offset b along the ray")
+    return _secant_shrink(balance, b, lo, f_lo, up, f_up, width, atol, rtol)
 
 
 def affine_action(
@@ -418,6 +542,7 @@ def affine_action(
     tol: float = 1e-10,
     max_doublings: int = 200,
     latent: bool = True,
+    start: float | None = None,
 ) -> CurriculumActionResult:
     """Latent under a general halfspace { v : <k, v> >= b }.
 
@@ -426,9 +551,10 @@ def affine_action(
     at beta = 0.  Otherwise the optimal beta balances the scaled weights
     against the offset, <weight_ext(l - beta * k), k> = b, and is bracketed
     on that nondecreasing function to absolute tolerance `tol`, from the
-    side where the weights meet the constraint.  Raises NoRoot when no beta
-    achieves the balance (the supremum diverges).  With latent=False only
-    the weights and beta are computed and the value is nan.
+    side where the weights meet the constraint; the search starts around
+    `start`, a nearby beta such as the last one, when given.  Raises NoRoot
+    when no beta achieves the balance (the supremum diverges).  With
+    latent=False only the weights and beta are computed and the value is nan.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != h.k.shape:
@@ -446,7 +572,9 @@ def affine_action(
             )
         balance, width = support_balance(reg, lam, l, h.k)
         hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-        beta = balance_root(balance, h.b, hi, width, tol, max_doublings=max_doublings)
+        beta = balance_root(
+            balance, h.b, hi, width, tol, max_doublings=max_doublings, start=start
+        )
         w = weight_extended(reg, lam, l - beta * h.k)
     value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b if latent else math.nan
     return CurriculumActionResult(value, w, beta, side)

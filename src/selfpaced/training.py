@@ -398,19 +398,26 @@ def _boundary_forced_weights(reg, lam, l, h):
     return v
 
 
-def _dual_single_halfspace(reg, lam, l, h, cap):
+def _dual_single_halfspace(reg, lam, l, region):
+    h, cap = region.halfspaces[0], region.caps[0]
     if abs(h.b - cap) <= 1e-12:
         return _boundary_forced_weights(reg, lam, l, h)
+    memory = region._multipliers
     try:
-        result = affine_action(reg, lam, l, h, latent=False)
+        result = affine_action(
+            reg, lam, l, h, latent=False, start=None if memory is None else memory[0]
+        )
     except NoRoot as exc:
         raise InfeasibleCurriculum(str(exc)) from None
+    if memory is not None:
+        memory[0] = result.beta
     return np.asarray(result.weights, dtype=float)
 
 
 def _dual_intersection(reg, lam, l, region, sweeps: int = 200):
     b = region.offsets
-    mu = np.zeros(b.size)
+    memory = region._multipliers
+    mu = np.zeros(b.size) if memory is None else memory.copy()
 
     for _ in range(sweeps):
         for j, h in enumerate(region.halfspaces):
@@ -420,8 +427,10 @@ def _dual_intersection(reg, lam, l, region, sweeps: int = 200):
             balance, width = support_balance(reg, lam, l_eff, h.k)
             hi = max(1.0, float(np.linalg.norm(l_eff)) / float(np.linalg.norm(h.k)))
             try:
-                # the feasible side for this constraint
-                mu[j] = balance_root(balance, b[j], hi, width, atol=1e-12, rtol=1e-12)
+                # the feasible side for this constraint, searched from its last value
+                mu[j] = balance_root(
+                    balance, b[j], hi, width, atol=1e-12, rtol=1e-12, start=mu[j]
+                )
             except NoRoot:
                 raise InfeasibleCurriculum(
                     "dual ascent cannot satisfy a halfspace; region may be "
@@ -430,6 +439,8 @@ def _dual_intersection(reg, lam, l, region, sweeps: int = 200):
         v = weight_extended(reg, lam, l - region.normal_mix(mu))
         slack = region.normal_dots(v) - b
         if float(slack.min()) >= -1e-9 and float(np.max(mu * np.abs(slack))) <= 1e-8:
+            if memory is not None:
+                memory[:] = mu
             return v
     raise InfeasibleCurriculum(
         "dual coordinate ascent did not reach KKT tolerance; region may be "
@@ -447,8 +458,9 @@ def v_step(
 
     Routing: no region -> elementwise weights; groups -> the weight of each
     block's mean loss; pairwise-order chains -> pool adjacent violators;
-    other halfspaces -> dual multiplier search (a batched bracket per
-    constraint), which requires a strictly convex penalty and therefore
+    other halfspaces -> dual multiplier search (a safeguarded secant search
+    per constraint, started from the region's last multipliers when it is a
+    warm_copy), which requires a strictly convex penalty and therefore
     refuses the binary-weight penalty outside the chain case.  Every route
     but the duals takes its weights straight from reg.weight, which clips
     them into [0, 1].
@@ -490,7 +502,7 @@ def v_step(
             "halfspace constraints"
         )
     if region.kind == "halfspace":
-        v = _dual_single_halfspace(reg, lam, l, region.halfspaces[0], region.caps[0])
+        v = _dual_single_halfspace(reg, lam, l, region)
     else:
         v = _dual_intersection(reg, lam, l, region)
     return np.clip(v, 0.0, 1.0)
@@ -727,7 +739,7 @@ def spl_fit(dataset: Dataset, config: TrainConfig) -> TrainState:
     """
     reg = get_regularizer(config.regularizer)
     alpha = config.ridge
-    region = config.region
+    region = config.region.warm_copy()  # multipliers live for this fit only
 
     w = w_step(np.ones(dataset.n), dataset, config)
     losses = loss_vector(w, dataset, config.loss)

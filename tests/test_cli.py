@@ -386,6 +386,15 @@ def test_unknown_regularizer_name_exits_one_everywhere(tmp_path):
                  "--out", str(tmp_path / "m")]) == 1
 
 
+@pytest.mark.parametrize("command, key", [("compare", "seeds"), ("curriculum", "grid")])
+def test_null_config_value_exits_one_naming_the_key(tmp_path, capsys, command, key):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({key: None}) + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert command in err and key in err
+
+
 def test_every_command_echoes_its_configuration(tmp_path):
     out = tmp_path / "echo"
     main(["validate", "--regularizer", "hard", "--out", str(out)])

@@ -23,8 +23,9 @@ from selfpaced.curriculum import (
     weight_extended,
 )
 from selfpaced.errors import BadParam, BadPartition, InfeasibleCurriculum
+from selfpaced.experiments import make_regression
 from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
-from selfpaced.training import v_step
+from selfpaced.training import TrainConfig, spl_fit, v_step
 
 EXP = get_regularizer("exp")
 HARD = get_regularizer("hard")
@@ -394,3 +395,174 @@ def test_bracket_stops_at_rounding_when_the_tolerance_is_below_it():
     assert res.weights[0] == pytest.approx(0.5, abs=1e-8)
     region = CurriculumRegion("halfspace", (Halfspace(np.array([1.0, 0.0]), 0.5),))
     assert v_step(l, 1.0, EXP, region)[0] == pytest.approx(0.5, abs=1e-8)
+
+
+# ==== warm starts =============================================================
+
+
+def general_halfspace(rng, reg, l, support):
+    """A normal of mixed signs whose offset the unconstrained weights miss."""
+    k = np.zeros(l.size)
+    k[rng.choice(l.size, size=support, replace=False)] = rng.normal(size=support)
+    free = float(weight_extended(reg, 1.0, l) @ k)
+    cap = float(np.maximum(k, 0.0).sum())
+    return Halfspace(k, free + rng.uniform(0.2, 0.8) * (cap - free))
+
+
+def dual_problems(rng, reg, n=60):
+    """Losses with a single-halfspace and an intersection region, both active."""
+    for _ in range(3):
+        l = rng.exponential(2.0, size=n)
+        yield l, CurriculumRegion("halfspace", (general_halfspace(rng, reg, l, 20),))
+        hs = (trusted_halfspace(rng, n, 0.9, 12), trusted_halfspace(rng, n, 0.8, 15))
+        yield l, CurriculumRegion("intersection", hs)
+
+
+def assert_feasible(v, region):
+    for h in region.halfspaces:
+        assert float(v @ h.k) >= h.b - 1e-9
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_warm_and_cold_v_steps_agree(reg):
+    rng = np.random.default_rng(51)
+    for l, region in dual_problems(rng, reg):
+        cold = v_step(l, 1.0, reg, region)
+        warm = region.warm_copy()
+        v_step(l * rng.uniform(0.98, 1.02, size=l.size), 1.0, reg, warm)
+        assert np.all(warm._multipliers > 0)  # nearby multipliers to start from
+        got = v_step(l, 1.0, reg, warm)
+        assert_feasible(cold, region)
+        assert_feasible(got, region)
+        assert np.allclose(got, cold, rtol=0, atol=1e-9)
+        assert region._multipliers is None  # the region itself stays stateless
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_v_step_from_any_start_agrees_with_the_cold_one(reg):
+    rng = np.random.default_rng(52)
+    for l, region in dual_problems(rng, reg):
+        cold = v_step(l, 1.0, reg, region)
+        warm = region.warm_copy()
+        v_step(l, 1.0, reg, warm)
+        root = warm._multipliers.copy()
+        for start in (0.0, 1e-300, 1e12, 3.0 * root, root * (1.0 - 1e-7)):
+            warm._multipliers[:] = start
+            got = v_step(l, 1.0, reg, warm)
+            assert_feasible(got, region)
+            assert np.allclose(got, cold, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_a_start_far_from_the_root_costs_about_a_cold_search(reg):
+    rng = np.random.default_rng(55)
+    for l, region in dual_problems(rng, reg):
+        h = region.halfspaces[0]
+        balance, width = support_balance(reg, 1.0, l, h.k)
+        calls = []
+
+        def counted(betas):
+            calls.append(1)
+            return balance(betas)
+
+        hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
+        root = balance_root(counted, h.b, hi, width, 1e-10)
+        cold = len(calls)
+        for start in (1e-300, 1e12, 1e3 * root, 1e-3 * root):
+            calls.clear()
+            assert abs(balance_root(counted, h.b, hi, width, 1e-10, start=start) - root) <= 1e-10
+            assert len(calls) <= cold + 2  # the first call misses, then the ladder
+
+
+def test_balance_root_with_a_start_keeps_the_zero_and_no_root_cases():
+    balance, width = support_balance(EXP, 1.0, np.array([0.5, 1.0]), np.array([1.0, 0.0]))
+    for start in (None, 1e-300, 0.3, 1e12):
+        assert balance_root(balance, 0.1, 1.0, width, 1e-10, start=start) == 0.0
+        with pytest.raises(curriculum.NoRoot):
+            balance_root(balance, 1.5, 1.0, width, 1e-10, max_doublings=10, start=start)
+
+
+@pytest.mark.parametrize("start", [None, 5.0, 1e-3, 2000.0])
+def test_balance_root_raises_no_root_exactly_above_the_last_doubling(start):
+    # the search gives up past hi * 2**max_doublings = 1024, as the doubling did
+    for jump, found in ((1000.0, True), (1023.9, True), (1024.5, False)):
+        def balance(betas):
+            return (np.asarray(betas) >= jump).astype(float)
+
+        if found:
+            got = balance_root(balance, 0.5, 1.0, 64, 1e-9, max_doublings=10, start=start)
+            assert jump <= got <= jump + 1e-9
+        else:
+            with pytest.raises(curriculum.NoRoot):
+                balance_root(balance, 0.5, 1.0, 64, 1e-9, max_doublings=10, start=start)
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+def test_balance_root_finds_the_jump_of_a_step_balance_from_any_start(width):
+    l, k = np.array([3.25]), np.array([1.0])
+    balance, _ = support_balance(HARD, 1.0, l, k)
+    jump = 2.25
+    for start in (None, 1e-300, 1e-3, 2.2, 2.25, 2.3, 50.0, 1e12):
+        for tol in (1e-3, 1e-9, 1e-12):
+            hi = balance_root(balance, 0.5, 1.0, width, tol, start=start)
+            assert balance(np.array([hi]))[0] >= 0.5
+            assert jump <= hi <= jump + tol
+
+
+def test_warm_halfspace_v_step_makes_few_balance_calls(monkeypatch):
+    # a fit-curriculum-like step: squared residuals with 20 % gross outliers, a
+    # curator asking that 90 % of a trusted tenth of the clean samples be admitted
+    rng = np.random.default_rng(53)
+    n = 220
+    residual = 0.1 * rng.normal(size=n)
+    outliers = rng.choice(n, size=n // 5, replace=False)
+    residual[outliers] += 5.0 * rng.choice((-1.0, 1.0), size=outliers.size)
+    l = residual**2
+    clean = np.setdiff1d(np.arange(n), outliers)
+    k = np.zeros(n)
+    k[rng.choice(clean, size=n // 10, replace=False)] = 1.0
+    region = CurriculumRegion("halfspace", (Halfspace(k, 0.9 * (n // 10)),))
+    lam = float(np.median(l[clean]))
+    assert float(EXP.weight(lam, l) @ k) < region.offsets[0]  # the constraint binds
+
+    calls = []
+
+    def counted(reg, lam, l, k):
+        balance, width = support_balance(reg, lam, l, k)
+
+        def count(betas):
+            calls.append(np.size(betas))
+            return balance(betas)
+
+        return count, width
+
+    monkeypatch.setattr(curriculum, "support_balance", counted)
+    warm = region.warm_copy()
+    v_step(l, lam, EXP, warm)
+    for _ in range(5):
+        l = l * (1.0 + 0.002 * rng.normal(size=n))  # the next iterate's losses
+        calls.clear()
+        got = v_step(l, lam, EXP, warm)
+        assert len(calls) <= 4
+        # both betas lie within the 1e-10 bracket tolerance of the root, and
+        # exp's weights move by at most 1/lam per unit of beta
+        assert np.allclose(got, v_step(l, lam, EXP, region), rtol=0, atol=1e-10 / lam)
+        assert_feasible(got, region)
+
+
+@pytest.mark.parametrize("kind", ["halfspace", "intersection"])
+def test_repeated_fits_on_one_config_are_bit_identical(kind):
+    rng = np.random.default_rng(54)
+    ds, _, outliers = make_regression(n=40, d=3, outlier_scale=30.0, seed=0)
+    clean = np.setdiff1d(np.arange(ds.n), outliers)
+    hs = []
+    for share in (0.9, 0.8):
+        k = np.zeros(ds.n)
+        k[rng.choice(clean, size=8, replace=False)] = 1.0
+        hs.append(Halfspace(k, share * 8))
+    region = CurriculumRegion(kind, tuple(hs[:1]) if kind == "halfspace" else tuple(hs))
+    config = TrainConfig(regularizer="exp", region=region)
+    first, second = spl_fit(ds, config), spl_fit(ds, config)
+    assert first.w.tobytes() == second.w.tobytes()
+    assert first.v.tobytes() == second.v.tobytes()
+    assert config.region._multipliers is None
