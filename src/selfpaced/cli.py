@@ -51,30 +51,19 @@ class _Parser(argparse.ArgumentParser):
 
 # ==== named input functions for the design pipelines ==========================
 
+# each name is a catalog entry's weight curve or penalty
 WEIGHT_INPUTS = {
-    "linear-clamp": lambda l: np.clip(1.0 - np.asarray(l, dtype=float), 0.0, 1.0),
-    "exp-decay": lambda l: np.exp(-np.asarray(l, dtype=float)),
-    "inverse": lambda l: np.minimum(
-        1.0, 1.0 / np.maximum(np.asarray(l, dtype=float), 1e-300)
-    ),
-    "step": lambda l: np.where(np.asarray(l, dtype=float) < 1.0, 1.0, 0.0),
+    name: get_regularizer(entry).weight_base
+    for name, entry in (
+        ("linear-clamp", "linear"), ("exp-decay", "exp"), ("inverse", "log"), ("step", "hard")
+    )
 }
 
 PENALTY_INPUTS = {
-    "neg-log": lambda v: np.where(
-        np.asarray(v, dtype=float) <= 0,
-        np.inf,
-        -np.log(np.maximum(np.asarray(v, dtype=float), 1e-300)),
-    ),
-    "half-quadratic": lambda v: 0.5 * (1.0 - np.asarray(v, dtype=float)) ** 2,
-    "neg-linear": lambda v: -np.asarray(v, dtype=float),
-    "entropy": lambda v: np.where(
-        np.asarray(v, dtype=float) > 0,
-        np.asarray(v, dtype=float) * np.log(np.maximum(np.asarray(v, dtype=float), 1e-300))
-        - np.asarray(v, dtype=float)
-        + 1.0,
-        1.0,
-    ),
+    name: get_regularizer(entry).r_sp_base
+    for name, entry in (
+        ("half-quadratic", "linear"), ("entropy", "exp"), ("neg-log", "log"), ("neg-linear", "hard")
+    )
 }
 
 

@@ -410,25 +410,8 @@ def _bisect_round(balance, b, lo, f_lo, hi, f_hi, width):
     return _narrow(balance, b, (1.0 - t) * lo + t * hi, lo, f_lo, hi, f_hi)
 
 
-def bisect_balance(
-    balance, b: float, lo: float, hi: float, width: int, atol: float, rtol: float = 0.0
-) -> float:
-    """Shrink a bracket balance(lo) < b <= balance(hi) and return its feasible end.
-
-    Each round evaluates `width` evenly spaced interior points in one call
-    and keeps the sub-bracket that straddles b, until hi - lo is at most
-    max(atol, rtol * hi).  At width 1 this is plain bisection.
-    """
-    while hi - lo > max(atol, rtol * hi):
-        new_lo, _, new_hi, _ = _bisect_round(balance, b, lo, None, hi, None, width)
-        if (new_lo, new_hi) == (lo, hi):
-            break  # the bracket is down to rounding
-        lo, hi = new_lo, new_hi
-    return hi
-
-
 def _secant_shrink(balance, b, lo, f_lo, hi, f_hi, width, atol, rtol):
-    """Shrink a bracket f_lo < b <= f_hi like bisect_balance, superlinearly.
+    """Shrink a bracket f_lo < b <= f_hi to its feasible end, superlinearly.
 
     Each round is one call.  It evaluates the secant point s of the bracket,
     kept at least tol / 2 inside it, with the offsets s -+ tol * 4**j / 64
@@ -539,8 +522,6 @@ def affine_action(
     lam: float,
     l,
     h: Halfspace,
-    tol: float = 1e-10,
-    max_doublings: int = 200,
     latent: bool = True,
     start: float | None = None,
 ) -> CurriculumActionResult:
@@ -550,7 +531,7 @@ def affine_action(
     unconstrained weights already satisfy the constraint the supremum sits
     at beta = 0.  Otherwise the optimal beta balances the scaled weights
     against the offset, <weight_ext(l - beta * k), k> = b, and is bracketed
-    on that nondecreasing function to absolute tolerance `tol`, from the
+    on that nondecreasing function to absolute tolerance 1e-10, from the
     side where the weights meet the constraint; the search starts around
     `start`, a nearby beta such as the last one, when given.  Raises NoRoot
     when no beta achieves the balance (the supremum diverges).  With
@@ -572,9 +553,7 @@ def affine_action(
             )
         balance, width = support_balance(reg, lam, l, h.k)
         hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-        beta = balance_root(
-            balance, h.b, hi, width, tol, max_doublings=max_doublings, start=start
-        )
+        beta = balance_root(balance, h.b, hi, width, 1e-10, start=start)
         w = weight_extended(reg, lam, l - beta * h.k)
     value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b if latent else math.nan
     return CurriculumActionResult(value, w, beta, side)

@@ -499,15 +499,24 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_sp_regularizer(
-    reg: SPRegularizer,
-    ages=_AGE_LATTICE,
-    n: int = _DEFAULT_GRID_N,
-    conjugacy_points: int = 513,
-) -> ValidationReport:
+def _worst(resid, where):
+    """Largest entry of resid, floored at 0, and where(*index) of its first one.
+
+    The location is "-" when no entry is positive.  A non-finite entry counts
+    as inf, so a NaN fails its check instead of losing every comparison.
+    """
+    resid = np.where(np.isfinite(resid), resid, np.inf)
+    i = int(np.argmax(resid))
+    if not resid.flat[i] > 0.0:
+        return 0.0, "-"
+    return float(resid.flat[i]), where(*np.unravel_index(i, resid.shape))
+
+
+def validate_sp_regularizer(reg: SPRegularizer) -> ValidationReport:
     """Re-derive each view of the regularizer from the others and compare.
 
-    Checks performed (each reported, none raised):
+    Checks performed (each reported, none raised) on the age lattice
+    0.25, 0.5, 1, 2, 4; a non-finite residual fails its check:
       convexity            penalty secant slopes are non-decreasing
       domain               finite on part of [0, 1], closure reaches 0 and 1
       weight_monotone_loss weight non-increasing in the loss
@@ -518,9 +527,17 @@ def validate_sp_regularizer(
       scaling              age scaling laws hold exactly
     """
     checks = []
-    vgrid = graded_unit_grid(n)
+    ages = _AGE_LATTICE
+    vgrid = graded_unit_grid(_DEFAULT_GRID_N)
     rv = _sample_or_inf(reg.r_sp_base, vgrid)
     finite = np.isfinite(rv)
+
+    def check(name, limit, resid, where):
+        worst, loc = _worst(resid, where)
+        checks.append(CheckResult(name, worst <= limit, worst, loc))
+
+    def at_loss(losses):  # the location of entry (a, j) of per-age rows
+        return lambda a, j: f"lam={ages[a]}, l={losses[a][j]:.4g}"
 
     # convexity of the base penalty
     if finite.sum() >= 3:
@@ -549,41 +566,22 @@ def validate_sp_regularizer(
     )
 
     # weight monotone in the loss (per age, on the scaled lattice)
-    worst_l, loc_l = 0.0, "-"
-    worst_age, loc_age = 0.0, "-"
-    weights_by_age = {}
-    for lam in ages:
-        wl = reg.weight(lam, loss_lattice * lam)
-        weights_by_age[lam] = wl
-        rise = np.diff(wl)
-        if rise.size and float(rise.max()) > worst_l:
-            worst_l = float(rise.max())
-            loc_l = f"lam={lam}, l={loss_lattice[1:][np.argmax(rise)] * lam:.4g}"
+    scaled = np.array([reg.weight(lam, loss_lattice * lam) for lam in ages])
+    rises_at = np.outer(ages, loss_lattice[1:])
+    check("weight_monotone_loss", 1e-9, np.diff(scaled, axis=1), at_loss(rises_at))
     abs_losses = np.linspace(0.0, 8.0, 33)
-    for l_abs in abs_losses:
-        col = np.array([reg.weight(lam, l_abs) for lam in ages])
-        drop = -np.diff(col)
-        if drop.size and float(drop.max()) > worst_age:
-            worst_age = float(drop.max())
-            loc_age = f"l={l_abs:.4g}"
-    checks.append(CheckResult("weight_monotone_loss", worst_l <= 1e-9, worst_l, loc_l))
-    checks.append(CheckResult("weight_monotone_age", worst_age <= 1e-9, worst_age, loc_age))
+    by_age = np.array([reg.weight(lam, abs_losses) for lam in ages])
+    drops = -np.diff(by_age, axis=0).T  # loss-major, as the location names the loss
+    check("weight_monotone_age", 1e-9, drops, lambda j, _: f"l={abs_losses[j]:.4g}")
 
     # weight limits: range, decay in the loss, decay as the age shrinks
-    worst_lim, loc_lim = 0.0, "-"
-    for lam in ages:
-        wl = weights_by_age[lam]
-        out_of_box = float(np.max(np.maximum(wl - 1.0, -wl), initial=0.0))
-        if out_of_box > worst_lim:
-            worst_lim, loc_lim = out_of_box, f"lam={lam} (range)"
-        tail = float(reg.weight(lam, 1000.0 * lam))
-        if tail - 2e-3 > worst_lim:
-            worst_lim, loc_lim = tail - 2e-3, f"lam={lam}, l=1000*lam"
-    for l_abs in (0.5, 1.0, 4.0):
-        small_age = float(reg.weight(1e-6, l_abs))
-        if small_age - 2e-3 > worst_lim:
-            worst_lim, loc_lim = small_age - 2e-3, f"lam=1e-6, l={l_abs}"
-    checks.append(CheckResult("weight_limits", worst_lim <= 0.0, max(worst_lim, 0.0), loc_lim))
+    small_losses = (0.5, 1.0, 4.0)
+    tails = np.array([reg.weight(lam, 1000.0 * lam) for lam in ages])
+    per_age = np.column_stack((np.maximum(scaled - 1.0, -scaled).max(axis=1), tails - 2e-3))
+    small_age = reg.weight(1e-6, np.array(small_losses)) - 2e-3
+    labels = [s for lam in ages for s in (f"lam={lam} (range)", f"lam={lam}, l=1000*lam")]
+    labels += [f"lam=1e-6, l={l_abs}" for l_abs in small_losses]
+    check("weight_limits", 0.0, np.concatenate((per_age.ravel(), small_age)), labels.__getitem__)
 
     # derivative identity: central difference of latent vs weight.  Near a
     # slope break at distance d < h the central difference is off by
@@ -592,46 +590,34 @@ def validate_sp_regularizer(
     # curvature absorbs breaks exactly and costs nothing where the latent
     # is smooth.
     h = 1e-4
-    worst_d, loc_d = 0.0, "-"
-    for lam in ages:
-        ls = np.linspace(20 * h, 8.0 * lam, 101)
+    d_losses = np.array([np.linspace(20 * h, 8.0 * lam, 101) for lam in ages])
+    d_resid = []
+    for lam, ls in zip(ages, d_losses):
         f_plus = reg.latent(lam, ls + h)
         f_minus = reg.latent(lam, ls - h)
         f_mid = reg.latent(lam, ls)
         cd = (f_plus - f_minus) / (2 * h)
         curvature = np.abs(f_plus - 2 * f_mid + f_minus) / h**2
-        resid = np.maximum(
-            0.0, np.abs(cd - reg.weight(lam, ls)) - 0.5 * h * curvature
-        )
-        if float(resid.max()) > worst_d:
-            worst_d = float(resid.max())
-            loc_d = f"lam={lam}, l={ls[np.argmax(resid)]:.4g}"
-    checks.append(CheckResult("derivative_identity", worst_d <= 1e-4, worst_d, loc_d))
+        d_resid.append(np.maximum(0.0, np.abs(cd - reg.weight(lam, ls)) - 0.5 * h * curvature))
+    check("derivative_identity", 1e-4, d_resid, at_loss(d_losses))
 
     # conjugacy: latent equals the grid conjugate of -r_sp, shifted to 0 at l=0
-    worst_c, loc_c = 0.0, "-"
     g_vals_base = np.where(finite, -rv, NEG_INFINITY)
-    for lam in ages:
-        g = SampledFunction(vgrid, lam * g_vals_base)
-        lg = loss_grid(lam, conjugacy_points)
-        conj = concave_conjugate(g, lg)
-        normalized = conj.values - conj.values[0]
-        resid = np.abs(normalized - reg.latent(lam, lg))
-        if float(resid.max()) > worst_c:
-            worst_c = float(resid.max())
-            loc_c = f"lam={lam}, l={lg[np.argmax(resid)]:.4g}"
-    checks.append(CheckResult("conjugacy", worst_c <= 1e-4, worst_c, loc_c))
+    c_losses = np.array([loss_grid(lam, 513) for lam in ages])
+    c_resid = []
+    for lam, lg in zip(ages, c_losses):
+        conj = concave_conjugate(SampledFunction(vgrid, lam * g_vals_base), lg)
+        c_resid.append(np.abs(conj.values - conj.values[0] - reg.latent(lam, lg)))
+    check("conjugacy", 1e-4, c_resid, at_loss(c_losses))
 
     # age scaling laws (structural under the scaling contract)
-    worst_s, loc_s = 0.0, "-"
+    s_resid = []
     for lam in ages:
         ls = np.linspace(0.0, 8.0 * lam, 33)
         ds = np.abs(reg.latent(lam, ls) - lam * reg.latent(1.0, ls / lam))
         dw = np.abs(reg.weight(lam, ls) - reg.weight(1.0, ls / lam))
-        m = float(max(ds.max(), dw.max()))
-        if m > worst_s:
-            worst_s, loc_s = m, f"lam={lam}"
-    checks.append(CheckResult("scaling", worst_s <= 1e-10, worst_s, loc_s))
+        s_resid.append(np.concatenate((ds, dw)))
+    check("scaling", 1e-10, s_resid, lambda a, _: f"lam={ages[a]}")
 
     return ValidationReport(tuple(checks))
 

@@ -414,12 +414,12 @@ def _dual_single_halfspace(reg, lam, l, region):
     return np.asarray(result.weights, dtype=float)
 
 
-def _dual_intersection(reg, lam, l, region, sweeps: int = 200):
+def _dual_intersection(reg, lam, l, region):
     b = region.offsets
     memory = region._multipliers
     mu = np.zeros(b.size) if memory is None else memory.copy()
 
-    for _ in range(sweeps):
+    for _ in range(200):  # coordinate-ascent sweeps
         for j, h in enumerate(region.halfspaces):
             other = mu.copy()
             other[j] = 0.0
@@ -462,8 +462,8 @@ def v_step(
     per constraint, started from the region's last multipliers when it is a
     warm_copy), which requires a strictly convex penalty and therefore
     refuses the binary-weight penalty outside the chain case.  Every route
-    but the duals takes its weights straight from reg.weight, which clips
-    them into [0, 1].
+    takes its weights from reg.weight, which clips them into [0, 1], or
+    sets them to exactly 0 or 1.
     """
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
@@ -502,10 +502,8 @@ def v_step(
             "halfspace constraints"
         )
     if region.kind == "halfspace":
-        v = _dual_single_halfspace(reg, lam, l, region)
-    else:
-        v = _dual_intersection(reg, lam, l, region)
-    return np.clip(v, 0.0, 1.0)
+        return _dual_single_halfspace(reg, lam, l, region)
+    return _dual_intersection(reg, lam, l, region)
 
 
 # ==== age schedules ===========================================================

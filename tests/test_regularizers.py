@@ -223,6 +223,61 @@ def test_validator_accepts_increasing_linear_penalty():
     ]
 
 
+def _nan_beyond(base, l_cut):
+    return lambda l: np.where(np.asarray(l, dtype=float) > l_cut, np.nan, base(l))
+
+
+@pytest.mark.parametrize(
+    "weight_base, latent_base, failing",
+    [
+        (
+            _nan_beyond(EXP.weight_base, -1.0),
+            _nan_beyond(EXP.latent_base, -1.0),
+            {
+                "weight_monotone_loss",
+                "weight_monotone_age",
+                "weight_limits",
+                "derivative_identity",
+                "conjugacy",
+                "scaling",
+            },
+        ),
+        (
+            _nan_beyond(EXP.weight_base, 3.0),
+            EXP.latent_base,
+            {
+                "weight_monotone_loss",
+                "weight_monotone_age",
+                "weight_limits",
+                "derivative_identity",
+                "scaling",
+            },
+        ),
+    ],
+    ids=["nan-everywhere", "weight-nan-beyond-3"],
+)
+def test_validator_rejects_nan_views(weight_base, latent_base, failing):
+    reg = SPRegularizer("nan", EXP.r_sp_base, weight_base, latent_base)
+    report = validate_sp_regularizer(reg)
+    assert not report.verdict
+    failed = {c.name: c.residual for c in report.failures()}
+    assert set(failed) == failing
+    assert all(r == math.inf for r in failed.values())
+
+
+def test_validator_makes_few_weight_calls(monkeypatch):
+    calls = []
+    weight = SPRegularizer.weight
+
+    def counted(self, lam, l):
+        calls.append(np.size(l))
+        return weight(self, lam, l)
+
+    monkeypatch.setattr(SPRegularizer, "weight", counted)
+    assert validate_sp_regularizer(EXP).verdict
+    assert len(calls) <= 40
+
+
 # ==== tabulation ==============================================================
 
 

@@ -17,7 +17,6 @@ from selfpaced.curriculum import (
     CurriculumRegion,
     affine_action,
     balance_root,
-    bisect_balance,
     group_latent,
     support_balance,
     weight_extended,
@@ -261,47 +260,6 @@ def test_batch_width_stays_within_the_element_budget():
         assert width == 1 or width * support <= 2**16
     assert curriculum._batch_width(22) == 64
     assert curriculum._batch_width(10**5) == 1
-
-
-def test_bisect_at_width_one_is_scalar_bisection():
-    rng = np.random.default_rng(31)
-    l = rng.exponential(2.0, size=30)
-    k = np.where(rng.random(30) < 0.4, 1.0, 0.0)
-    b = 0.7 * k.sum()
-    balance, _ = support_balance(EXP, 1.0, l, k)
-    scalar = scalar_balance(EXP, 1.0, l, k)
-    for tol in (1e-6, 1e-10, 1e-13):
-        got = bisect_balance(balance, b, 0.0, 40.0, 1, tol)
-        assert got == scalar_bisection(scalar, b, 0.0, 40.0, tol)
-
-
-@pytest.mark.parametrize("width", [1, 2, 7, 64])
-def test_bisect_finds_the_jump_of_a_step_balance(width):
-    # hard weights: the balance jumps from 0 to 1 where l - beta crosses the age
-    l, k = np.array([3.25]), np.array([1.0])
-    balance, _ = support_balance(HARD, 1.0, l, k)
-    jump = 2.25
-    for tol in (1e-3, 1e-9, 1e-12):
-        hi = bisect_balance(balance, 0.5, 0.0, 10.0, width, tol)
-        assert balance(np.array([hi]))[0] >= 0.5
-        assert jump <= hi <= jump + tol
-
-
-@pytest.mark.parametrize("width", [1, 3, 16, 64])
-def test_bisect_returns_an_end_that_meets_b(width):
-    rng = np.random.default_rng(32)
-    for trial in range(20):
-        reg = STRICT[trial % len(STRICT)]
-        l = rng.exponential(2.0, size=12)
-        k = rng.normal(size=12)
-        balance, _ = support_balance(reg, 1.0, l, k)
-        lo_val, hi_val = balance(np.array([0.0, 50.0]))
-        b = lo_val + rng.uniform(0.1, 0.9) * (hi_val - lo_val)
-        tol = 10.0 ** -rng.integers(4, 13)
-        hi = bisect_balance(balance, b, 0.0, 50.0, width, tol)
-        assert balance(np.array([hi]))[0] >= b
-        root = scalar_bisection(scalar_balance(reg, 1.0, l, k), b, 0.0, 50.0, 1e-14)
-        assert abs(hi - root) <= tol + 1e-13
 
 
 def test_balance_root_returns_zero_when_already_met_and_raises_when_unreachable():
