@@ -274,6 +274,15 @@ class CurriculumRegion:
         return np.array([h.b for h in self.halfspaces])
 
     @cached_property
+    def _supports(self):
+        """Per halfspace, the indices where its normal is nonzero and the normal's norm.
+
+        Only the dual v-step routes read these, so a region of chains never
+        keeps one index array per ordering.
+        """
+        return tuple((np.flatnonzero(h.k), float(np.linalg.norm(h.k))) for h in self.halfspaces)
+
+    @cached_property
     def caps(self) -> np.ndarray:
         """The largest <k, v> over the box [0, 1]^n, per halfspace."""
         rows, _, vals, _ = self._normals
@@ -312,9 +321,9 @@ def latent_extended(reg: SPRegularizer, lam: float, l):
 def weight_extended(reg: SPRegularizer, lam: float, l):
     """Weight map extended to negative losses with full weight 1."""
     la = np.asarray(l, dtype=float)
-    pos = np.where(la >= 0, la, 0.0)
-    vals = np.asarray(reg.weight(lam, pos), dtype=float)
-    return np.where(la >= 0, vals, 1.0)
+    inside = la >= 0
+    vals = np.asarray(reg.weight(lam, np.where(inside, la, 0.0)), dtype=float)
+    return np.where(inside, vals, 1.0)
 
 
 def _joint_latent_ext(reg: SPRegularizer, lam: float, l: np.ndarray) -> float:
@@ -359,15 +368,19 @@ def _batch_width(support: int) -> int:
     return max(1, min(_BATCH_POINTS, _BATCH_ELEMENTS // max(support, 1)))
 
 
-def support_balance(reg: SPRegularizer, lam: float, l: np.ndarray, k: np.ndarray):
+def support_balance(
+    reg: SPRegularizer, lam: float, l: np.ndarray, k: np.ndarray, support=None
+):
     """The weight balance beta -> <weight_ext(l - beta * k), k>, batched.
 
     Returns the balance, which maps an array of betas to an array of
     balances, and the batch width for it.  The balance is nondecreasing in
-    beta and only reads the support of k, so each call costs one
-    weight_extended lookup of (betas x support) values.
+    beta and only reads the support of k (np.flatnonzero(k), computed here
+    unless given), so each call costs one weight_extended lookup of
+    (betas x support) values.
     """
-    support = np.flatnonzero(k)
+    if support is None:
+        support = np.flatnonzero(k)
     ls, ks = l[support], k[support]
 
     def balance(betas):
@@ -517,25 +530,33 @@ def balance_root(
     return _secant_shrink(balance, b, lo, f_lo, up, f_up, width, atol, rtol)
 
 
-def affine_action(
-    reg: SPRegularizer,
-    lam: float,
-    l,
-    h: Halfspace,
-    latent: bool = True,
-    start: float | None = None,
-) -> CurriculumActionResult:
+def _halfspace_multiplier(reg, lam, l, h, support, norm, atol=1e-10, rtol=0.0, start=None):
+    """Least beta >= 0 with <weight_ext(l - beta * k), k> >= b, from the feasible side.
+
+    The dual multiplier search that affine_action and the v-step's halfspace
+    and intersection routes share; atol defaults to the single halfspace's
+    bracket.  support and norm are np.flatnonzero(k) and the Euclidean norm
+    of k; the search scale is ||l|| / ||k||, at least 1.  See balance_root
+    for the tolerances, `start` and NoRoot.
+    """
+    balance, width = support_balance(reg, lam, l, h.k, support)
+    hi = max(1.0, float(np.linalg.norm(l)) / norm)
+    return balance_root(balance, h.b, hi, width, atol, rtol, start=start)
+
+
+def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> CurriculumActionResult:
     """Latent under a general halfspace { v : <k, v> >= b }.
 
-    Evaluates sup_{beta >= 0} F_ext(l - beta * k) + beta * b.  When the
-    unconstrained weights already satisfy the constraint the supremum sits
-    at beta = 0.  Otherwise the optimal beta balances the scaled weights
-    against the offset, <weight_ext(l - beta * k), k> = b, and is bracketed
-    on that nondecreasing function to absolute tolerance 1e-10, from the
-    side where the weights meet the constraint; the search starts around
-    `start`, a nearby beta such as the last one, when given.  Raises NoRoot
-    when no beta achieves the balance (the supremum diverges).  With
-    latent=False only the weights and beta are computed and the value is nan.
+    Evaluates sup_{beta >= 0} F_ext(l - beta * k) + beta * b and returns it
+    with the minimizing weights and beta.  When the unconstrained weights
+    already satisfy the constraint the supremum sits at beta = 0.
+    Otherwise the optimal beta balances the scaled weights against the
+    offset, <weight_ext(l - beta * k), k> = b, and is bracketed on that
+    nondecreasing function to absolute tolerance 1e-10, from the side where
+    the weights meet the constraint.  Raises NoRoot when no beta achieves
+    the balance (the supremum diverges).  The v-step's halfspace route runs
+    the same multiplier search without this function: it needs no latent
+    value and already holds the unconstrained weights.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != h.k.shape:
@@ -551,11 +572,10 @@ def affine_action(
                 f"offset b={h.b} exceeds the attainable weight balance {cap}; "
                 "the constrained latent diverges"
             )
-        balance, width = support_balance(reg, lam, l, h.k)
-        hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-        beta = balance_root(balance, h.b, hi, width, 1e-10, start=start)
+        support, norm = np.flatnonzero(h.k), float(np.linalg.norm(h.k))
+        beta = _halfspace_multiplier(reg, lam, l, h, support, norm)
         w = weight_extended(reg, lam, l - beta * h.k)
-    value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b if latent else math.nan
+    value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b
     return CurriculumActionResult(value, w, beta, side)
 
 

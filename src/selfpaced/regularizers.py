@@ -24,6 +24,7 @@ the others and reports the residuals.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -109,6 +110,18 @@ def _maybe_scalar(out: np.ndarray, scalar_in: bool):
     return float(out) if scalar_in else out
 
 
+def _loss_array(l) -> tuple:
+    """(l as a float array, whether l is a scalar); BadParam on a negative entry.
+
+    A NaN entry passes, as it fails every comparison.
+    """
+    scalar = not isinstance(l, np.ndarray) and np.isscalar(l)
+    la = np.asarray(l, dtype=float)
+    if la.size and la.min() < 0:
+        raise BadParam("loss values must be nonnegative")
+    return la, scalar
+
+
 def _secant_drop_excess(xs: np.ndarray, ys: np.ndarray, rel_tol: float = 1e-7):
     """How much consecutive secant slopes decrease beyond float noise.
 
@@ -163,7 +176,7 @@ class SPRegularizer:
 
     def _check_age(self, lam: float) -> float:
         lam = float(lam)
-        if not (np.isfinite(lam) and lam > 0):
+        if not (math.isfinite(lam) and lam > 0):
             raise BadParam(f"age parameter must be finite and > 0, got {lam}")
         return lam
 
@@ -177,20 +190,14 @@ class SPRegularizer:
     def weight(self, lam: float, l):
         """Minimizing weight for loss l at age lam, clipped to [0, 1]."""
         lam = self._check_age(lam)
-        scalar = np.isscalar(l)
-        la = np.asarray(l, dtype=float)
-        if np.any(la < 0):
-            raise BadParam("loss values must be nonnegative")
-        out = np.clip(np.asarray(self.weight_base(la / lam), dtype=float), 0.0, 1.0)
+        la, scalar = _loss_array(l)
+        out = np.asarray(self.weight_base(la / lam), dtype=float).clip(0.0, 1.0)
         return _maybe_scalar(out, scalar)
 
     def latent(self, lam: float, l):
         """Normalized latent objective lam * latent_base(l / lam)."""
         lam = self._check_age(lam)
-        scalar = np.isscalar(l)
-        la = np.asarray(l, dtype=float)
-        if np.any(la < 0):
-            raise BadParam("loss values must be nonnegative")
+        la, scalar = _loss_array(l)
         out = lam * np.asarray(self.latent_base(la / lam), dtype=float)
         return _maybe_scalar(out, scalar)
 

@@ -21,16 +21,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .curriculum import (
     CurriculumRegion,
-    affine_action,
-    balance_root,
+    _halfspace_multiplier,
+    affine_action,  # noqa: F401  unused here; bench/tracer.py wraps training.affine_action
     block_weights,
-    support_balance,
     weight_extended,
 )
 from .errors import (
@@ -309,7 +309,7 @@ def _weighted_ridge(v: np.ndarray, dataset: Dataset, alpha: float) -> np.ndarray
             "weighted normal equations are singular (zero ridge with rank-deficient "
             "weighted design)"
         ) from None
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise SingularSystem("weighted normal equations produced non-finite solution")
     return w
 
@@ -391,27 +391,25 @@ def _feasibility_precheck(region: CurriculumRegion):
         )
 
 
-def _boundary_forced_weights(reg, lam, l, h):
-    """Weights when b equals the box maximum of <k, v>: forced coordinates."""
-    v = np.asarray(reg.weight(lam, l), dtype=float)
-    v = np.where(h.k > 0, 1.0, np.where(h.k < 0, 0.0, v))
-    return v
-
-
-def _dual_single_halfspace(reg, lam, l, region):
-    h, cap = region.halfspaces[0], region.caps[0]
-    if abs(h.b - cap) <= 1e-12:
-        return _boundary_forced_weights(reg, lam, l, h)
+def _dual_single_halfspace(reg, lam, l, v0, region):
+    """The v-step under one halfspace, from the unconstrained weights v0."""
+    h = region.halfspaces[0]
+    if abs(h.b - region.caps[0]) <= 1e-12:
+        # b is the box maximum of <k, v>: every coordinate the normal reads is forced
+        return np.where(h.k > 0, 1.0, np.where(h.k < 0, 0.0, v0))
     memory = region._multipliers
-    try:
-        result = affine_action(
-            reg, lam, l, h, latent=False, start=None if memory is None else memory[0]
-        )
-    except NoRoot as exc:
-        raise InfeasibleCurriculum(str(exc)) from None
+    beta, v = 0.0, v0
+    if not float(v0 @ h.k) >= h.b - 1e-12:  # the free weights miss the halfspace
+        support, norm = region._supports[0]
+        start = None if memory is None else memory[0]
+        try:
+            beta = _halfspace_multiplier(reg, lam, l, h, support, norm, start=start)
+        except NoRoot as exc:
+            raise InfeasibleCurriculum(str(exc)) from None
+        v = weight_extended(reg, lam, l - beta * h.k)
     if memory is not None:
-        memory[0] = result.beta
-    return np.asarray(result.weights, dtype=float)
+        memory[0] = beta
+    return v
 
 
 def _dual_intersection(reg, lam, l, region):
@@ -424,12 +422,11 @@ def _dual_intersection(reg, lam, l, region):
             other = mu.copy()
             other[j] = 0.0
             l_eff = l - region.normal_mix(other)
-            balance, width = support_balance(reg, lam, l_eff, h.k)
-            hi = max(1.0, float(np.linalg.norm(l_eff)) / float(np.linalg.norm(h.k)))
+            support, norm = region._supports[j]
             try:
                 # the feasible side for this constraint, searched from its last value
-                mu[j] = balance_root(
-                    balance, b[j], hi, width, atol=1e-12, rtol=1e-12, start=mu[j]
+                mu[j] = _halfspace_multiplier(
+                    reg, lam, l_eff, h, support, norm, 1e-12, 1e-12, start=mu[j]
                 )
             except NoRoot:
                 raise InfeasibleCurriculum(
@@ -466,12 +463,12 @@ def v_step(
     sets them to exactly 0 or 1.
     """
     l = np.asarray(l, dtype=float)
-    if np.any(l < 0):
-        raise BadParam("losses must be nonnegative")
     if region is None or region.kind == "none":
-        return reg.weight(lam, l)
+        return reg.weight(lam, l)  # which rejects negative losses
 
     if region.kind == "groups":
+        if l.size and l.min() < 0:  # a block mean could hide a negative loss
+            raise BadParam("losses must be nonnegative")
         labels, counts = region.group_labels
         if labels.size != l.size:
             raise BadPartition(
@@ -480,12 +477,12 @@ def v_step(
         _, block_w = block_weights(reg, lam, l, labels, counts)
         return block_w[labels]
 
+    v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
     if region.dim != l.size:
         raise BadParam(
             f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
         )
     _feasibility_precheck(region)
-    v0 = np.asarray(reg.weight(lam, l), dtype=float)
     if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
         return v0
 
@@ -502,7 +499,7 @@ def v_step(
             "halfspace constraints"
         )
     if region.kind == "halfspace":
-        return _dual_single_halfspace(reg, lam, l, region)
+        return _dual_single_halfspace(reg, lam, l, v0, region)
     return _dual_intersection(reg, lam, l, region)
 
 
@@ -529,6 +526,11 @@ def weight_support_radius(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=64)
+def _cached_support_radius(reg: SPRegularizer) -> float:
+    return weight_support_radius(reg)
 
 
 def _midpoint_above(sorted_losses: np.ndarray, count: int) -> float:
@@ -561,15 +563,22 @@ def median_schedule(
 
     The first call picks the age so that the ceil(n/2) smallest losses get
     weight above 1e-6: the midpoint between the straddling order statistics,
-    divided by the regularizer's weight support radius.  Later calls
-    multiply the previous age by the growth factor.
+    divided by the regularizer's weight support radius.  The radius is
+    bisected once per distinct regularizer and cached (on every start when
+    the regularizer cannot be hashed).  Later calls multiply the previous
+    age by the growth factor.
     """
     if prev_lam is not None:
         return float(prev_lam) * float(growth)
     losses = np.sort(np.asarray(losses, dtype=float))
     m = math.ceil(losses.size / 2)
     level = _midpoint_above(losses, m)
-    radius = weight_support_radius(reg)
+    try:
+        hash(reg)  # the cache compares by value: catalog() builds new but equal objects
+    except TypeError:
+        radius = weight_support_radius(reg)
+    else:
+        radius = _cached_support_radius(reg)
     if radius <= 0:
         raise BadParam("regularizer weight vanishes everywhere; cannot set an age")
     return level / radius
@@ -598,8 +607,8 @@ def portion_schedule(
 
 def sp_penalty_sum(reg: SPRegularizer, lam: float, v: np.ndarray) -> float:
     """lam * sum_i r_sp_base(v_i) with weights clipped into the unit box."""
-    vals = np.asarray(reg.r_sp_base(np.clip(np.asarray(v, dtype=float), 0.0, 1.0)))
-    return lam * float(np.sum(vals))
+    vals = np.asarray(reg.r_sp_base(np.asarray(v, dtype=float).clip(0.0, 1.0)))
+    return lam * float(vals.sum())
 
 
 def full_objective(

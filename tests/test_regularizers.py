@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfpaced.conjugacy import Halfspace
+from selfpaced.curriculum import CurriculumRegion
 from selfpaced.errors import BadParam
 from selfpaced.experiments import SuiteConfig
 from selfpaced.regularizers import (
@@ -15,7 +17,7 @@ from selfpaced.regularizers import (
     tabulate,
     validate_sp_regularizer,
 )
-from selfpaced.training import TrainConfig
+from selfpaced.training import TrainConfig, v_step
 
 HARD = get_regularizer("hard")
 LINEAR = get_regularizer("linear")
@@ -128,17 +130,39 @@ def test_penalty_scales_with_age():
 # ==== argument validation =====================================================
 
 
+# every v-step route, each of which checks its losses in a different place
+V_STEP_REGIONS = {
+    "default": None,
+    "none": CurriculumRegion("none"),
+    "groups": CurriculumRegion("groups", partition=((0, 1), (2, 3))),
+    "halfspace": CurriculumRegion("halfspace", (Halfspace(np.array([1.0, 0.0, 0.0, 0.0]), 0.5),)),
+}
+
+
 def test_negative_loss_rejected():
     with pytest.raises(BadParam):
         EXP.weight(1.0, np.array([-0.5]))
     with pytest.raises(BadParam):
         EXP.latent(1.0, -1.0)
+    # both block means are positive, so the groups route must check the losses
+    l = np.array([1.0, -0.5, 2.0, 0.5])
+    for region in V_STEP_REGIONS.values():
+        with pytest.raises(BadParam):
+            v_step(l, 1.0, EXP, region)
+
+
+def test_empty_losses_give_empty_weights():
+    for got in (EXP.weight(1.0, np.array([])), EXP.latent(1.0, []), v_step(np.array([]), 1.0, EXP)):
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 def test_bad_age_rejected():
     for lam in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(BadParam):
             EXP.weight(lam, 0.5)
+        for region in V_STEP_REGIONS.values():
+            with pytest.raises(BadParam):
+                v_step(np.array([1.0, 0.5, 2.0, 0.5]), lam, EXP, region)
 
 
 def test_penalty_without_finite_values_rejected():

@@ -16,7 +16,7 @@ from selfpaced.errors import (
 )
 from selfpaced.experiments import make_regression
 from selfpaced.oracles import GridSpec, grid_constrained_inf, latent_descent_fit
-from selfpaced.regularizers import catalog, get_regularizer
+from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
 from selfpaced.training import (
     Dataset,
     TrainConfig,
@@ -267,6 +267,27 @@ def test_median_schedule_all_equal_admits_everything():
     lam = median_schedule(np.array([2.0, 2.0, 2.0]), HARD)
     assert lam > 2.0
     assert np.all(v_step(np.full(3, 2.0), lam, HARD) == 1.0)
+
+
+def test_median_schedule_bisects_the_support_radius_once_per_regularizer():
+    calls = []
+
+    def weight_base(l):
+        calls.append(np.size(l))
+        return np.exp(-np.asarray(l, dtype=float))
+
+    def fresh(domain=(0.0, 1.0)):  # a new but equal object, as catalog() builds them
+        return SPRegularizer("counted", EXP.r_sp_base, weight_base, EXP.latent_base, domain, 0.0)
+
+    losses = np.array([1.0, 2.0, 3.0, 4.0])
+    first = median_schedule(losses, fresh())
+    bisection = len(calls)
+    assert bisection > 50
+    assert median_schedule(losses, fresh()) == first
+    assert len(calls) == bisection
+    # a regularizer that cannot be hashed is bisected on every start
+    assert median_schedule(losses, fresh([0.0, 1.0])) == first
+    assert len(calls) == 2 * bisection
 
 
 def test_portion_schedule_quantiles():

@@ -6,8 +6,6 @@ with one weight lookup per pooled block, and scalar bisection on the weight
 balance.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -303,6 +301,31 @@ def test_intersection_v_step_matches_scalar_bisection(reg):
         assert np.allclose(got, intersection_reference(reg, 1.0, l, hs), rtol=0, atol=1e-9)
 
 
+def test_penalized_halfspace_v_step_looks_up_the_free_weights_once(monkeypatch):
+    events = []  # the size of every weight lookup, and "search" when one starts
+    weight = SPRegularizer.weight
+
+    def counted_weight(self, lam, l):
+        events.append(np.size(l))
+        return weight(self, lam, l)
+
+    def counted_balance(*args, **kwargs):
+        events.append("search")
+        return support_balance(*args, **kwargs)
+
+    monkeypatch.setattr(SPRegularizer, "weight", counted_weight)
+    monkeypatch.setattr(curriculum, "support_balance", counted_balance)
+    n = 50
+    l = np.linspace(0.1, 5.0, n)
+    k = np.zeros(n)
+    k[-5:] = 1.0  # the five largest losses, whose free weights sum to about 0.05
+    region = CurriculumRegion("halfspace", (Halfspace(k, 2.5),))
+    got = v_step(l, 1.0, EXP, region)
+    assert float(got @ k) >= 2.5 - 1e-9
+    assert events[: events.index("search")] == [n]
+    assert events[-1] == n  # the constrained weights
+
+
 def test_halfspace_v_step_with_full_support_at_n_1e5():
     rng = np.random.default_rng(43)
     n = 100_000
@@ -314,11 +337,19 @@ def test_halfspace_v_step_with_full_support_at_n_1e5():
     assert np.allclose(got, halfspace_reference(EXP, 1.0, l, h), rtol=0, atol=1e-9)
 
 
-def test_halfspace_v_step_skips_the_latent_value():
-    h = Halfspace(np.array([1.0, 0.0]), 0.5)
-    res = affine_action(EXP, 1.0, np.array([2.0, 1.0]), h, latent=False)
-    assert math.isnan(res.value)
-    assert res.weights[0] == pytest.approx(0.5, abs=1e-9)
+def test_halfspace_v_step_skips_the_latent_value(monkeypatch):
+    latents = []
+    latent = SPRegularizer.latent
+
+    def counted(self, lam, l):
+        latents.append(np.size(l))
+        return latent(self, lam, l)
+
+    monkeypatch.setattr(SPRegularizer, "latent", counted)
+    region = CurriculumRegion("halfspace", (Halfspace(np.array([1.0, 0.0]), 0.5),))
+    got = v_step(np.array([2.0, 1.0]), 1.0, EXP, region)
+    assert got[0] == pytest.approx(0.5, abs=1e-9)  # the constraint binds
+    assert latents == []
 
 
 def test_affine_action_weights_meet_the_offset():
@@ -485,8 +516,8 @@ def test_warm_halfspace_v_step_makes_few_balance_calls(monkeypatch):
 
     calls = []
 
-    def counted(reg, lam, l, k):
-        balance, width = support_balance(reg, lam, l, k)
+    def counted(reg, lam, l, k, support=None):
+        balance, width = support_balance(reg, lam, l, k, support)
 
         def count(betas):
             calls.append(np.size(betas))
