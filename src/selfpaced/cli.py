@@ -9,10 +9,10 @@ Commands:
   fit         run self-paced training on a CSV dataset
   compare     seeded robustness comparison of self-paced fits vs ridge
 
-Global flags: --config <json> (defaults), --out <dir>.
-Command-line flags override config-file values; every output JSON echoes
-the effective configuration.  Exit codes: 0 success, 1 input/IO error,
-2 mathematical validation failure, 3 iteration-cap exit.
+Global flags: --config <json> (defaults), --out <dir>.  Each other flag sets
+the config key of its own name and overrides the config file's value; every
+output JSON echoes the effective configuration.  Exit codes: 0 success,
+1 input/IO error, 2 mathematical validation failure, 3 iteration-cap exit.
 """
 
 from __future__ import annotations
@@ -116,19 +116,26 @@ def _field_defaults(cls) -> dict:
     }
 
 
-def _merge_config(defaults: dict, file_cfg: dict, flag_values: dict, where: str) -> dict:
+def _settings(args, defaults: dict, where: str) -> dict:
+    """`defaults`, overridden by the --config file, overridden by the flags given.
+
+    Each flag sets the key of its own name, and --k/--b or --groups set
+    `region`.  Config keys must be keys of `defaults`.
+    """
+    given = vars(args)
+    file_cfg = _load_config_file(given["config"]) if given.get("config") else {}
     unknown = set(file_cfg) - set(defaults)
     if unknown:
         raise _InputError(f"{where}: unknown config keys: {sorted(unknown)}")
     nulls = sorted(k for k, v in file_cfg.items() if v is None and defaults[k] is not None)
     if nulls:
         raise _InputError(f"{where}: config keys may not be null: {nulls}")
-    merged = dict(defaults)
-    merged.update(file_cfg)
-    for key, val in flag_values.items():
-        if val is not None:
-            merged[key] = val
-    return merged
+    flags = {key: val for key, val in given.items() if key in defaults}
+    if "k" in given:
+        flags["region"] = {"kind": "halfspace", "k": list(given["k"]), "b": given.get("b", 0.0)}
+    elif "groups" in given:
+        flags["region"] = {"kind": "groups", "partition": given["groups"]}
+    return {**defaults, **file_cfg, **flags}
 
 
 def _write_json(path, payload: dict):
@@ -159,27 +166,6 @@ def _parse_partition(text: str) -> list:
         ]
     except ValueError:
         raise _InputError(f"--groups: expected blocks like '0,1;2', got {text!r}") from None
-
-
-def _region_from(merged: dict) -> CurriculumRegion:
-    spec = merged.get("region")
-    if spec is None or (isinstance(spec, dict) and spec.get("kind") == "none"):
-        return CurriculumRegion("none")
-    if isinstance(spec, CurriculumRegion):
-        return spec
-    return CurriculumRegion.from_dict(spec)
-
-
-def _region_flags_to_spec(args) -> dict | None:
-    if getattr(args, "k", None) is not None:
-        return {
-            "kind": "halfspace",
-            "k": list(_parse_floats(args.k, "--k")),
-            "b": args.b if args.b is not None else 0.0,
-        }
-    if getattr(args, "groups", None) is not None:
-        return {"kind": "groups", "partition": _parse_partition(args.groups)}
-    return None
 
 
 def _ensure_out(out_dir: str) -> str:
@@ -254,20 +240,8 @@ _DERIVE_DEFAULTS = {
 
 
 def cmd_derive(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    merged = _merge_config(
-        _DERIVE_DEFAULTS,
-        file_cfg,
-        {
-            "pipeline": args.pipeline,
-            "input": args.input,
-            "lam": args.lam,
-            "grid_points": args.grid_points,
-            "l_max": args.l_max,
-        },
-        "derive",
-    )
-    if merged["lam"] is None or merged["lam"] <= 0:
+    merged = _settings(args, _DERIVE_DEFAULTS, "derive")
+    if merged["lam"] <= 0:
         raise _InputError("--lambda must be positive")
     out = _ensure_out(args.out)
     table_args = {"lam": merged["lam"], "n": merged["table_points"], "span": merged["span"]}
@@ -288,18 +262,7 @@ _VALIDATE_DEFAULTS = {
 
 
 def cmd_validate(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    merged = _merge_config(
-        _VALIDATE_DEFAULTS,
-        file_cfg,
-        {
-            "regularizer": args.regularizer,
-            "pipeline": args.pipeline,
-            "input": args.input,
-            "grid_points": args.grid_points,
-        },
-        "validate",
-    )
+    merged = _settings(args, _VALIDATE_DEFAULTS, "validate")
     if merged["regularizer"] is None and merged["pipeline"] is None:
         raise _InputError("validate needs --regularizer or --pipeline/--input")
     out = _ensure_out(args.out)
@@ -320,20 +283,8 @@ _CURRICULUM_DEFAULTS = {
 
 
 def cmd_curriculum(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    merged = _merge_config(
-        _CURRICULUM_DEFAULTS,
-        file_cfg,
-        {
-            "regularizer": args.regularizer,
-            "lam": args.lam,
-            "region": _region_flags_to_spec(args),
-            "grid": args.grid,
-            "span": args.span,
-        },
-        "curriculum",
-    )
-    if merged["lam"] is None or merged["lam"] <= 0:
+    merged = _settings(args, _CURRICULUM_DEFAULTS, "curriculum")
+    if merged["lam"] <= 0:
         raise _InputError("--lambda must be positive")
     if merged["grid"] < 2:
         raise _InputError("--grid must be at least 2")
@@ -344,8 +295,9 @@ def cmd_curriculum(args) -> int:
         reg = get_regularizer(merged["regularizer"])
     except BadParam as exc:
         raise _InputError(str(exc)) from None
+    spec = merged["region"]
     try:
-        region = _region_from(merged)
+        region = CurriculumRegion("none") if spec is None else CurriculumRegion.from_dict(spec)
     except SelfPacedError as exc:
         print(f"curriculum setup failed: {exc}", file=sys.stderr)
         return 2
@@ -409,22 +361,7 @@ _FIT_DEFAULTS = {"dataset": None, **_field_defaults(TrainConfig), "cross_check":
 
 
 def cmd_fit(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    flags = {
-        "dataset": args.dataset,
-        "regularizer": args.regularizer,
-        "schedule": args.schedule,
-        "lam": args.lam,
-        "fractions": _parse_floats(args.fractions, "--fractions") if args.fractions else None,
-        "growth": args.growth,
-        "stages": args.stages,
-        "ridge": args.ridge,
-        "loss": args.loss,
-        "region": _region_flags_to_spec(args),
-        "max_inner": args.max_inner,
-        "cross_check": True if args.cross_check else None,
-    }
-    merged = _merge_config(_FIT_DEFAULTS, file_cfg, flags, "fit")
+    merged = _settings(args, _FIT_DEFAULTS, "fit")
     if not merged["dataset"]:
         raise _InputError("fit requires --dataset <csv>")
     out = _ensure_out(args.out)
@@ -471,22 +408,7 @@ _COMPARE_DEFAULTS = _field_defaults(SuiteConfig)
 
 
 def cmd_compare(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    flags = {
-        "n": args.n,
-        "d": args.d,
-        "noise": args.noise,
-        "outlier_fraction": args.outlier_fraction,
-        "outlier_scale": args.outlier_scale,
-        "seeds": args.seeds,
-        "stages": args.stages,
-        "growth": args.growth,
-        "ridge": args.ridge,
-        "regularizers": (
-            tuple(args.regularizers.split(",")) if args.regularizers else None
-        ),
-    }
-    merged = _merge_config(_COMPARE_DEFAULTS, file_cfg, flags, "compare")
+    merged = _settings(args, _COMPARE_DEFAULTS, "compare")
     seeds = merged["seeds"]
     if isinstance(seeds, str):
         # A bare integer is a seed count; only a comma-separated string
@@ -537,79 +459,74 @@ def cmd_compare(args) -> int:
 # ==== parser ==================================================================
 
 
-_K_HELP = (
-    "halfspace normal, comma-separated (e.g. '1,-1'); write one whose first "
-    "entry is negative as --k=-1,0.5"
-)
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="selfpaced", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, func, help):
+        # a flag left out stays out of the namespace, so vars(args) holds
+        # exactly the flags given
+        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON config file with defaults")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
+        sp.set_defaults(func=func)
+        return sp
 
-    d = sub.add_parser("derive", help="build + validate a regularizer from a curve")
-    common(d)
+    def region_flags(sp):
+        sp.add_argument("--k", type=lambda t: _parse_floats(t, "--k"),
+                        help="halfspace normal, comma-separated (e.g. '1,-1'); write one "
+                        "whose first entry is negative as --k=-1,0.5")
+        sp.add_argument("--b", type=float, help="halfspace offset (default 0)")
+        sp.add_argument("--groups", type=_parse_partition,
+                        help="partition blocks like '0,1;2'")
+
+    d = command("derive", cmd_derive, "build + validate a regularizer from a curve")
     d.add_argument("--pipeline", choices=("from-weight", "from-regularizer"))
     d.add_argument("--input", help="named function or .csv of samples")
     d.add_argument("--lambda", dest="lam", type=float, help="age for the table dumps")
-    d.add_argument("--grid-points", dest="grid_points", type=int)
-    d.add_argument("--l-max", dest="l_max", type=float)
-    d.set_defaults(func=cmd_derive)
+    d.add_argument("--grid-points", type=int)
+    d.add_argument("--l-max", type=float)
 
-    v = sub.add_parser("validate", help="validate a catalog or derived regularizer")
-    common(v)
+    v = command("validate", cmd_validate, "validate a catalog or derived regularizer")
     v.add_argument("--regularizer", help="catalog name: hard/linear/log/exp")
     v.add_argument("--pipeline", choices=("from-weight", "from-regularizer"))
     v.add_argument("--input")
-    v.add_argument("--grid-points", dest="grid_points", type=int)
-    v.set_defaults(func=cmd_validate)
+    v.add_argument("--grid-points", type=int)
 
-    c = sub.add_parser("curriculum", help="dump constrained-latent lattice over 2-D losses")
-    common(c)
+    c = command("curriculum", cmd_curriculum, "dump constrained-latent lattice over 2-D losses")
     c.add_argument("--regularizer")
     c.add_argument("--lambda", dest="lam", type=float)
-    c.add_argument("--k", help=_K_HELP)
-    c.add_argument("--b", type=float, help="halfspace offset (default 0)")
-    c.add_argument("--groups", help="partition blocks like '0,1' or '0;1'")
+    region_flags(c)
     c.add_argument("--grid", type=int, help="lattice points per axis")
     c.add_argument("--span", type=float, help="losses range over [0, span]")
-    c.set_defaults(func=cmd_curriculum)
 
-    f = sub.add_parser("fit", help="self-paced training on a CSV dataset")
-    common(f)
+    f = command("fit", cmd_fit, "self-paced training on a CSV dataset")
     f.add_argument("--dataset", help="CSV with feature columns then target")
     f.add_argument("--regularizer")
     f.add_argument("--schedule", choices=("median", "portion", "fixed"))
     f.add_argument("--lambda", dest="lam", type=float)
-    f.add_argument("--fractions", help="comma-separated portions, e.g. '0.3,0.6,1.0'")
+    f.add_argument("--fractions", type=lambda t: _parse_floats(t, "--fractions"),
+                   help="comma-separated portions, e.g. '0.3,0.6,1.0'")
     f.add_argument("--growth", type=float)
     f.add_argument("--stages", type=int)
     f.add_argument("--ridge", type=float)
     f.add_argument("--loss", choices=("squared", "logistic"))
-    f.add_argument("--k", help=_K_HELP)
-    f.add_argument("--b", type=float, help="curriculum halfspace offset")
-    f.add_argument("--groups", help="curriculum partition blocks like '0,1;2'")
-    f.add_argument("--max-inner", dest="max_inner", type=int)
+    region_flags(f)
+    f.add_argument("--max-inner", type=int)
     f.add_argument("--cross-check", action="store_true", help="also run latent descent")
-    f.set_defaults(func=cmd_fit)
 
-    m = sub.add_parser("compare", help="robustness comparison vs unweighted ridge")
-    common(m)
+    m = command("compare", cmd_compare, "robustness comparison vs unweighted ridge")
     m.add_argument("--n", type=int)
     m.add_argument("--d", type=int)
     m.add_argument("--noise", type=float)
-    m.add_argument("--outlier-fraction", dest="outlier_fraction", type=float)
-    m.add_argument("--outlier-scale", dest="outlier_scale", type=float)
+    m.add_argument("--outlier-fraction", type=float)
+    m.add_argument("--outlier-scale", type=float)
     m.add_argument("--seeds", help="seed count (int) or comma-separated list")
     m.add_argument("--stages", type=int)
     m.add_argument("--growth", type=float)
     m.add_argument("--ridge", type=float)
-    m.add_argument("--regularizers", help="comma-separated catalog names")
-    m.set_defaults(func=cmd_compare)
+    m.add_argument("--regularizers", type=lambda t: tuple(t.split(",")),
+                   help="comma-separated catalog names")
 
     return p
 

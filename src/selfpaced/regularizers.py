@@ -241,7 +241,8 @@ def _log_r(v):
 
 def _log_w(l):
     l = np.asarray(l, dtype=float)
-    with np.errstate(divide="ignore"):
+    # 1/l overflows to inf on a subnormal loss, and the minimum clips it to 1
+    with np.errstate(divide="ignore", over="ignore"):
         return np.where(l <= 0, 1.0, np.minimum(1.0, 1.0 / np.where(l > 0, l, 1.0)))
 
 

@@ -1,12 +1,21 @@
 """Command-line surface: artifacts, exit codes, config merging, determinism."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from selfpaced.cli import main
+from selfpaced.cli import (
+    _COMPARE_DEFAULTS,
+    _CURRICULUM_DEFAULTS,
+    _DERIVE_DEFAULTS,
+    _FIT_DEFAULTS,
+    _VALIDATE_DEFAULTS,
+    build_parser,
+    main,
+)
 from selfpaced.conjugacy import Halfspace
 from selfpaced.curriculum import CurriculumRegion
 from selfpaced.oracles import (
@@ -267,18 +276,6 @@ def test_fit_unknown_config_key_exits_one(tmp_path):
     assert code == 1
 
 
-def test_fit_flags_override_config_file_values(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"regularizer": "hard", "stages": 4}\n')
-    out = tmp_path / "f7"
-    code = main(["fit", "--config", str(cfg), "--dataset", DATASET,
-                 "--regularizer", "exp", "--out", str(out)])
-    assert code == 0
-    merged = json.loads((out / "result.json").read_text())["config"]
-    assert merged["regularizer"] == "exp"  # flag wins
-    assert merged["stages"] == 4  # file fills the unset key
-
-
 def test_fit_echoes_the_full_default_configuration(tmp_path):
     out = tmp_path / "f9"
     assert main(["fit", "--dataset", DATASET, "--regularizer", "exp", "--out", str(out)]) == 0
@@ -384,6 +381,7 @@ def test_unknown_regularizer_name_exits_one_everywhere(tmp_path):
                  "--out", str(tmp_path / "f")]) == 1
     assert main(["compare", "--regularizers", "hard,mystery",
                  "--out", str(tmp_path / "m")]) == 1
+    assert main(["compare", "--regularizers", "", "--out", str(tmp_path / "e")]) == 1
 
 
 @pytest.mark.parametrize("command, key", [("compare", "seeds"), ("curriculum", "grid")])
@@ -393,6 +391,55 @@ def test_null_config_value_exits_one_naming_the_key(tmp_path, capsys, command, k
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert command in err and key in err
+
+
+# per command: a config file setting two keys, the other arguments, a flag
+# overriding the first key, the echoed value of each key, and the echo file
+OVERRIDES = {
+    "derive": ({"lam": 2.0, "grid_points": 1025},
+               ["--pipeline", "from-weight", "--input", "exp-decay"],
+               ["--lambda", "1.5"], ("lam", 1.5), ("grid_points", 1025), "validation.json"),
+    "validate": ({"regularizer": "hard", "grid_points": 1025}, [],
+                 ["--regularizer", "exp"], ("regularizer", "exp"), ("grid_points", 1025),
+                 "validation.json"),
+    "curriculum": ({"regularizer": "hard", "grid": 5}, [],
+                   ["--regularizer", "exp"], ("regularizer", "exp"), ("grid", 5), "summary.json"),
+    "fit": ({"regularizer": "hard", "stages": 4}, ["--dataset", DATASET],
+            ["--regularizer", "exp"], ("regularizer", "exp"), ("stages", 4), "result.json"),
+    "compare": ({"n": 30, "stages": 6}, ["--d", "2", "--seeds", "1"],
+                ["--stages", "5"], ("stages", 5), ("n", 30), "summary.json"),
+}
+
+
+@pytest.mark.parametrize("command", list(OVERRIDES))
+def test_flags_override_config_file_values(tmp_path, command):
+    file_cfg, args, flag, (flag_key, flag_val), (file_key, file_val), echo = OVERRIDES[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg) + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), *args, *flag, "--out", str(out)]) == 0
+    merged = json.loads((out / echo).read_text())["config"]
+    assert merged[flag_key] == flag_val  # flag wins
+    assert merged[file_key] == file_val  # file fills the unset key
+
+
+COMMAND_DEFAULTS = {
+    "derive": _DERIVE_DEFAULTS,
+    "validate": _VALIDATE_DEFAULTS,
+    "curriculum": _CURRICULUM_DEFAULTS,
+    "fit": _FIT_DEFAULTS,
+    "compare": _COMPARE_DEFAULTS,
+}
+
+
+def test_every_declared_flag_sets_a_config_key():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(commands) == set(COMMAND_DEFAULTS)
+    for name, parser in commands.items():
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help"}
+        assert dests - {"config", "out", "k", "b", "groups"} <= set(COMMAND_DEFAULTS[name]), name
 
 
 def test_every_command_echoes_its_configuration(tmp_path):

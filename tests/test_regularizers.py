@@ -1,6 +1,7 @@
 """Catalog closed forms, age scaling, and the triple-consistency validator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,14 @@ def test_log_weight_is_clamped_inverse():
     ls = np.array([0.0, 0.5, 1.0, 2.0, 8.0])
     want = np.array([1.0, 1.0, 1.0, 0.5, 0.125])
     assert np.allclose(LOG.weight(1.0, ls), want)
+
+
+@pytest.mark.parametrize("l", [1e-310, 5e-324])
+def test_log_views_of_a_subnormal_loss_emit_no_warning(l):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LOG.weight(1.0, l) == 1.0
+        assert LOG.latent(1.0, l) == l
 
 
 def test_exp_weight_is_exponential_decay():
