@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -120,7 +121,9 @@ def _settings(args, defaults: dict, where: str) -> dict:
     """`defaults`, overridden by the --config file, overridden by the flags given.
 
     Each flag sets the key of its own name, and --k/--b or --groups set
-    `region`.  Config keys must be keys of `defaults`.
+    `region`.  Config keys must be keys of `defaults`.  A key whose default
+    is a float takes any finite number and an int key an integral one, each
+    turned into its default's type.
     """
     given = vars(args)
     file_cfg = _load_config_file(given["config"]) if given.get("config") else {}
@@ -130,6 +133,15 @@ def _settings(args, defaults: dict, where: str) -> dict:
     nulls = sorted(k for k, v in file_cfg.items() if v is None and defaults[k] is not None)
     if nulls:
         raise _InputError(f"{where}: config keys may not be null: {nulls}")
+    for key, val in file_cfg.items():
+        kind = type(defaults[key])
+        if kind not in (int, float):
+            continue
+        if not (type(val) is int or type(val) is float and math.isfinite(val)
+                and (kind is float or val.is_integer())):
+            expected = "an integer" if kind is int else "a finite number"
+            raise _InputError(f"{where}: config key {key!r} must be {expected}, got {val!r}")
+        file_cfg[key] = kind(val)
     flags = {key: val for key, val in given.items() if key in defaults}
     if "k" in given:
         flags["region"] = {"kind": "halfspace", "k": list(given["k"]), "b": given.get("b", 0.0)}
@@ -289,7 +301,7 @@ def cmd_curriculum(args) -> int:
     if merged["grid"] < 2:
         raise _InputError("--grid must be at least 2")
     out = _ensure_out(args.out)
-    lam = float(merged["lam"])
+    lam = merged["lam"]
 
     try:
         reg = get_regularizer(merged["regularizer"])
@@ -304,7 +316,7 @@ def cmd_curriculum(args) -> int:
     if region.kind == "intersection":
         raise _InputError("curriculum lattice supports halfspace/groups/none regions")
 
-    axis = np.linspace(0.0, float(merged["span"]), int(merged["grid"]))
+    axis = np.linspace(0.0, merged["span"], merged["grid"])
     halfspace = region.halfspaces[0] if region.kind == "halfspace" else None
     rows = []
     sides = {"unaffected": 0, "penalized": 0}
@@ -374,10 +386,9 @@ def cmd_fit(args) -> int:
         raise _InputError(str(exc)) from None
 
     config_dict = {k: v for k, v in merged.items() if k not in ("dataset", "cross_check")}
-    config_dict["fractions"] = tuple(config_dict["fractions"] or ())
     try:
         config = TrainConfig.from_dict(config_dict)
-    except SelfPacedError as exc:
+    except (SelfPacedError, TypeError, ValueError) as exc:
         raise _InputError(f"bad training config: {exc}") from None
 
     try:
@@ -424,16 +435,7 @@ def cmd_compare(args) -> int:
     out = _ensure_out(args.out)
 
     try:
-        # each field takes the type of its default, as a config file may hold
-        # any JSON value
-        suite = SuiteConfig(
-            **{
-                name: type(default)(merged[name])
-                for name, default in _COMPARE_DEFAULTS.items()
-                if name != "seeds"
-            },
-            seeds=seeds,
-        )
+        suite = SuiteConfig(**{**merged, "seeds": seeds})
     except (SelfPacedError, TypeError, ValueError) as exc:
         raise _InputError(f"bad compare parameters: {exc}") from None
 

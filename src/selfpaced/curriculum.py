@@ -21,6 +21,11 @@ This module solves that reduction by root finding on the scaled weight
 balance (affine_action, any b), pools losses per block for groups
 (group_latent), and decodes regions for the v-step.  Ray searches, closed
 forms and grid minimization over v are references and live in oracles.
+
+Groups and pairwise orderings v_i >= v_j that form a forest
+(CurriculumRegion.forest) need no multiplier: the v-step pools the losses of
+both, a group being one node already pooled, and takes the weights of the
+isotonic regression (Barlow, Bartholomew, Bremner & Brunk, 1972).
 """
 
 from __future__ import annotations
@@ -82,43 +87,33 @@ def _pair_normal(k: np.ndarray):
     return (a, b) if k[a] > 0 else (b, a)
 
 
-def _chain_orders(halfspaces):
-    """Decode an intersection of pairwise orderings as disjoint chains.
+def _order_forest(halfspaces):
+    """Decode an intersection of pairwise orderings as a forest.
 
-    Returns a list of index chains [i1, i2, ...] meaning
-    v_{i1} >= v_{i2} >= ..., or None when the halfspaces are not all
-    homogeneous pairwise orderings arranged in simple chains.
+    An ordering v_i >= v_j makes i the parent of j.  Returns (order, parent):
+    order lists every sample an ordering names, each after its parent, and
+    parent[p] is the position in order of order[p]'s parent, or -1 for a
+    root.  None unless every halfspace is a homogeneous pairwise ordering
+    (b = 0, k = e_i - e_j) and no sample has two parents or lies on a cycle.
     """
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    parent: dict = {}
     for h in halfspaces:
-        if abs(h.b) > 0:
-            return None
-        pair = _pair_normal(h.k)
-        if pair is None:
-            return None
-        hi, lo = pair
-        if hi in succ or lo in pred:
-            return None  # branching order, not a chain
-        succ[hi] = lo
-        pred[lo] = hi
-    chains = []
-    heads = [i for i in succ if i not in pred]
-    visited = set()
-    for head in heads:
-        chain = [head]
-        visited.add(head)
-        cur = head
-        while cur in succ:
-            cur = succ[cur]
-            if cur in visited:
-                return None  # cycle
-            visited.add(cur)
-            chain.append(cur)
-        chains.append(chain)
-    if len(visited) < len(set(succ) | set(pred)):
-        return None  # leftover nodes imply a cycle
-    return chains
+        pair = _pair_normal(h.k) if h.b == 0 else None
+        if pair is None or parent.setdefault(pair[1], pair[0]) != pair[0]:
+            return None  # not a homogeneous pairwise ordering, or a second parent
+    children: dict = {}
+    for lo, hi in parent.items():
+        children.setdefault(hi, []).append(lo)
+    order = [i for i in children if i not in parent]
+    for i in order:  # grows while it is read: breadth first from the roots
+        order.extend(children.get(i, ()))
+    if len(order) < len(parent.keys() | children.keys()):
+        return None  # the samples left out lie on a cycle
+    position = {i: p for p, i in enumerate(order)}
+    return (
+        np.array(order, dtype=np.intp),
+        [position[parent[i]] if i in parent else -1 for i in order],
+    )
 
 
 @dataclass(frozen=True)
@@ -128,9 +123,9 @@ class CurriculumRegion:
     kind is one of 'none', 'halfspace', 'intersection', 'groups'.  For the
     halfspace kinds the normals live in `halfspaces`; for 'groups' the block
     structure lives in `partition`.  The array forms the v-step works with
-    (block labels, chains, the nonzeros of the normals) are decoded once, on
-    first use.  A region built by its constructor is stateless; only the
-    copy that warm_copy() returns records multipliers.
+    (block labels, the order forest, the nonzeros of the normals) are
+    decoded once, on first use.  A region built by its constructor is
+    stateless; only the copy that warm_copy() returns records multipliers.
     """
 
     kind: str = "none"
@@ -227,10 +222,10 @@ class CurriculumRegion:
         The halfspace and intersection routes read each halfspace's last
         multiplier from the copy and write the new one back, so a run of
         v-steps on nearby losses brackets every root in a few evaluations.
-        Regions without a dual route are returned as they are.  The copy
-        shares the decoded forms already computed.
+        Regions without halfspaces are returned as they are.  The copy shares
+        the decoded forms already computed.
         """
-        if not self.halfspaces or self.chains is not None:
+        if not self.halfspaces:
             return self
         twin = copy.copy(self)
         object.__setattr__(twin, "_multipliers", np.zeros(len(self.halfspaces)))
@@ -277,8 +272,8 @@ class CurriculumRegion:
     def _supports(self):
         """Per halfspace, the indices where its normal is nonzero and the normal's norm.
 
-        Only the dual v-step routes read these, so a region of chains never
-        keeps one index array per ordering.
+        Only the dual v-step routes read these, so an order forest never keeps
+        one index array per ordering.
         """
         return tuple((np.flatnonzero(h.k), float(np.linalg.norm(h.k))) for h in self.halfspaces)
 
@@ -289,17 +284,14 @@ class CurriculumRegion:
         return np.bincount(rows, weights=np.maximum(vals, 0.0), minlength=len(self.halfspaces))
 
     @cached_property
-    def chains(self):
-        """(order, lengths) when the halfspaces are pairwise orderings in chains.
+    def unreachable(self) -> np.ndarray:
+        """The halfspaces whose offset b exceeds their cap: no box weights meet them."""
+        return np.flatnonzero(self.offsets > self.caps + 1e-12)
 
-        order concatenates the chains' indices, each chain listed from the
-        sample whose weight must be largest; lengths gives each chain's
-        length.  None for any other set of halfspaces.
-        """
-        chains = _chain_orders(self.halfspaces)
-        if chains is None:
-            return None
-        return np.array([i for c in chains for i in c], dtype=np.intp), [len(c) for c in chains]
+    @cached_property
+    def forest(self):
+        """_order_forest of the halfspaces; None when there are none."""
+        return _order_forest(self.halfspaces) if self.halfspaces else None
 
 
 # ==== loss-side extensions ====================================================
@@ -582,12 +574,6 @@ def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> Curriculum
 # ==== group action ============================================================
 
 
-def block_weights(reg: SPRegularizer, lam: float, l: np.ndarray, labels, counts):
-    """Block mean losses and the weight of each block's mean, per block."""
-    means = np.bincount(labels, weights=l, minlength=counts.size) / counts
-    return means, np.asarray(reg.weight(lam, means), dtype=float)
-
-
 def group_latent(
     reg: SPRegularizer, lam: float, l, partition: Sequence[Sequence[int]]
 ) -> CurriculumActionResult:
@@ -598,7 +584,8 @@ def group_latent(
     """
     l = np.asarray(l, dtype=float)
     labels, counts = partition_labels(partition, l.size)
-    means, block_w = block_weights(reg, lam, l, labels, counts)
+    means = np.bincount(labels, weights=l, minlength=counts.size) / counts
+    block_w = np.asarray(reg.weight(lam, means), dtype=float)
     per_block = counts * np.asarray(reg.latent(lam, means), dtype=float)
     total = float(sum(per_block))  # a running sum in block order
     return CurriculumActionResult(total, block_w[labels], None, "-")

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +32,6 @@ from .curriculum import (
     CurriculumRegion,
     _halfspace_multiplier,
     affine_action,  # noqa: F401  unused here; bench/tracer.py wraps training.affine_action
-    block_weights,
     weight_extended,
 )
 from .errors import (
@@ -83,13 +84,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def group_partition(self) -> tuple:
-        """Blocks of sample indices sharing a group label, in label order."""
-        if self.groups is None:
-            raise BadParam("dataset has no group labels")
-        labels = np.unique(self.groups)
-        return tuple(tuple(np.flatnonzero(self.groups == g)) for g in labels)
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -164,10 +158,6 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 # ==== configuration ===========================================================
 
 
-def _default_region() -> CurriculumRegion:
-    return CurriculumRegion("none")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run needs besides the data.
@@ -190,7 +180,7 @@ class TrainConfig:
     stages: int = 16
     ridge: float = 1e-3
     loss: str = "squared"
-    region: CurriculumRegion = field(default_factory=_default_region)
+    region: CurriculumRegion = field(default_factory=lambda: CurriculumRegion("none"))
     max_inner: int = 200
     inner_tol: float = 1e-9
     grad_tol: float = 1e-7
@@ -212,7 +202,8 @@ class TrainConfig:
             raise BadParam("ridge coefficient must be nonnegative")
         if not 0 < self.full_weight_threshold <= 1:
             raise BadParam("full_weight_threshold must lie in (0, 1]")
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam > 0):
+        lam_ok = isinstance(self.lam, numbers.Real) and 0 < self.lam < math.inf
+        if self.lam is not None and not lam_ok:
             raise BadParam("age parameter lam must be finite and positive")
         if self.schedule == "fixed" and self.lam is None:
             raise BadParam("fixed schedule requires lam")
@@ -355,36 +346,51 @@ def _weighted_logistic(
 # ==== the v-step ==============================================================
 
 
-def _pav_chains(losses: list, lengths: Sequence[int]):
-    """Pool adjacent violators along chains requiring non-increasing weights.
+def _pooled_weights(reg, lam, sums, counts, parent):
+    """The weight of every node's pooled mean loss under a forest order.
 
-    Weights decrease in the loss, so the constraint is equivalent to the
-    effective losses being non-decreasing along each chain; pooled blocks
-    take the weight of their mean loss, which solves each block subproblem
-    exactly for every penalty in the catalog shape (common weight at the
-    block's mean).  `losses` concatenates the chains, whose lengths are
-    given; returns the sum and size of every pooled block, in order.
+    Node p holds counts[p] samples with total loss sums[p]; parent[p] < p is
+    the node whose weight must be at least p's, or -1 (parent may be empty:
+    no edges).  From the last node to the first, each block absorbs its
+    child block of least mean while that mean lies below its own, from a
+    min-heap per block, merged smaller into larger (Pardalos & Xue, 1999);
+    on a chain this is pool adjacent violators.  The pooled means are the
+    isotonic regression of the losses, and their weights, in one lookup,
+    are the v-step's exact minimizer (Barlow-Brunk).
     """
-    sums: list = []
-    counts: list = []
-    pos = 0
-    for length in lengths:
-        first = len(sums)  # blocks never pool across chains
-        for s in losses[pos : pos + length]:
-            c = 1
-            while len(sums) > first and s / c < sums[-1] / counts[-1]:
-                s += sums.pop()
-                c += counts.pop()
-            sums.append(s)
-            counts.append(c)
-        pos += length
-    return np.array(sums), np.array(counts)
+    means = sums / counts
+    if not parent:
+        return np.asarray(reg.weight(lam, means), dtype=float)
+    means, sums, counts = means.tolist(), sums.tolist(), counts.tolist()
+    block = list(range(len(sums)))  # the node whose block absorbed each node
+    heaps: list = [[] for _ in block]  # per block, (mean, node) of its child blocks
+    for p in range(len(block) - 1, -1, -1):
+        heap = heaps[p]
+        if heap and heap[0][0] < means[p]:
+            s, c, mean = sums[p], counts[p], means[p]
+            while heap and heap[0][0] < mean:
+                child = heappop(heap)[1]
+                s, c, block[child] = s + sums[child], c + counts[child], p
+                mean = s / c
+                other = heaps[child]
+                if len(other) > len(heap):
+                    heap, other = other, heap
+                for item in other:
+                    heappush(heap, item)
+            sums[p], counts[p], means[p], heaps[p] = s, c, mean, heap
+        if parent[p] >= 0:
+            heappush(heaps[parent[p]], (means[p], p))
+    pooled: list = []
+    for p, t in enumerate(block):  # now each node's block index: t < p is done
+        block[p] = block[t] if t < p else len(pooled)
+        if t == p:
+            pooled.append(means[p])
+    return np.asarray(reg.weight(lam, np.array(pooled)), dtype=float)[block]
 
 
 def _feasibility_precheck(region: CurriculumRegion):
-    over = np.flatnonzero(region.offsets > region.caps + 1e-12)
-    if over.size:
-        j = over[0]
+    if region.unreachable.size:
+        j = region.unreachable[0]
         raise InfeasibleCurriculum(
             f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
             f"(maximum attainable is {region.caps[j]})"
@@ -453,20 +459,36 @@ def v_step(
 ) -> np.ndarray:
     """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
 
-    Routing: no region -> elementwise weights; groups -> the weight of each
-    block's mean loss; pairwise-order chains -> pool adjacent violators;
-    other halfspaces -> dual multiplier search (a safeguarded secant search
-    per constraint, started from the region's last multipliers when it is a
-    warm_copy), which requires a strictly convex penalty and therefore
-    refuses the binary-weight penalty outside the chain case.  Every route
-    takes its weights from reg.weight, which clips them into [0, 1], or
-    sets them to exactly 0 or 1.
+    Routing: no region -> elementwise weights; groups, and pairwise orderings
+    that form a forest -> the weights of the pooled mean losses
+    (_pooled_weights: a group is one node of its size, an ordered sample one
+    of size one); other halfspaces -> dual multiplier search (a safeguarded
+    secant search per constraint, started from the region's last multipliers
+    when it is a warm_copy), which requires a strictly convex penalty and so
+    refuses the binary-weight penalty.  Free weights that meet every
+    halfspace are returned as they are.  Every route takes its weights from
+    reg.weight, which clips them into [0, 1], or sets them to exactly 0 or 1.
     """
     l = np.asarray(l, dtype=float)
     if region is None or region.kind == "none":
         return reg.weight(lam, l)  # which rejects negative losses
 
-    if region.kind == "groups":
+    v0 = None
+    if region.halfspaces:
+        v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
+        if region.dim != l.size:
+            raise BadParam(
+                f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
+            )
+        _feasibility_precheck(region)
+        if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
+            return v0
+
+    if region.kind == "groups" or region.forest is not None:
+        if v0 is not None:  # an order forest: samples outside it keep their free weights
+            order, parent = region.forest
+            v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
+            return v0
         if l.size and l.min() < 0:  # a block mean could hide a negative loss
             raise BadParam("losses must be nonnegative")
         labels, counts = region.group_labels
@@ -474,29 +496,13 @@ def v_step(
             raise BadPartition(
                 f"partition covers {labels.size} samples, but there are {l.size} losses"
             )
-        _, block_w = block_weights(reg, lam, l, labels, counts)
-        return block_w[labels]
-
-    v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
-    if region.dim != l.size:
-        raise BadParam(
-            f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
-        )
-    _feasibility_precheck(region)
-    if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
-        return v0
-
-    if region.chains is not None:
-        order, lengths = region.chains
-        sums, counts = _pav_chains(l[order].tolist(), lengths)
-        v = v0.copy()
-        v[order] = np.repeat(np.asarray(reg.weight(lam, sums / counts), dtype=float), counts)
-        return v
+        sums = np.bincount(labels, weights=l, minlength=counts.size)
+        return _pooled_weights(reg, lam, sums, counts, ())[labels]
 
     if reg.name == "hard":
         raise UnsupportedRegularizer(
-            "binary-weight penalty supports only pairwise-order chains among "
-            "halfspace constraints"
+            "binary-weight penalty supports only groups and pairwise-order forests "
+            "among curriculum regions"
         )
     if region.kind == "halfspace":
         return _dual_single_halfspace(reg, lam, l, v0, region)

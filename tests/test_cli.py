@@ -393,6 +393,36 @@ def test_null_config_value_exits_one_naming_the_key(tmp_path, capsys, command, k
     assert command in err and key in err
 
 
+@pytest.mark.parametrize("command, file_cfg", [
+    ("curriculum", {"lam": "2"}),
+    ("curriculum", {"grid": 2.5}),
+    ("derive", {"lam": "2"}),
+    ("derive", {"grid_points": True}),
+    ("fit", {"stages": "4"}),
+    ("fit", {"ridge": "0.1"}),
+    ("fit", {"lam": "2"}),
+    ("compare", {"n": "40"}),
+])
+def test_mistyped_numeric_config_value_exits_one_naming_the_key(tmp_path, capsys, command,
+                                                                file_cfg):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(file_cfg) + "\n")
+    args = {"derive": ["--input", "exp-decay"], "fit": ["--dataset", DATASET]}.get(command, [])
+    assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(file_cfg)) in err
+
+
+def test_integral_numbers_fill_int_keys_and_ints_fill_float_keys(tmp_path):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"grid": 3.0, "lam": 2}) + "\n")
+    out = tmp_path / "o"
+    assert main(["curriculum", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    assert (echo["grid"], echo["lam"]) == (3, 2.0)
+    assert type(echo["grid"]) is int and type(echo["lam"]) is float
+
+
 # per command: a config file setting two keys, the other arguments, a flag
 # overriding the first key, the echoed value of each key, and the echo file
 OVERRIDES = {

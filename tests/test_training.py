@@ -58,14 +58,6 @@ def test_dataset_validates_shapes_and_finiteness():
         Dataset(np.zeros((2, 1)), np.zeros(2), groups=np.array([0, 1, 2]))
 
 
-def test_dataset_group_partition():
-    ds = Dataset(np.zeros((4, 1)), np.zeros(4), groups=np.array([1, 0, 1, 0]))
-    assert ds.group_partition() == ((1, 3), (0, 2))
-    plain = Dataset(np.zeros((2, 1)), np.zeros(2))
-    with pytest.raises(BadParam):
-        plain.group_partition()
-
-
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     ds = Dataset(rng.normal(size=(7, 3)), rng.normal(size=7), groups=np.array([0, 1, 0, 1, 2, 2, 0]))

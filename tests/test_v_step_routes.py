@@ -19,8 +19,14 @@ from selfpaced.curriculum import (
     support_balance,
     weight_extended,
 )
-from selfpaced.errors import BadParam, BadPartition, InfeasibleCurriculum
+from selfpaced.errors import (
+    BadParam,
+    BadPartition,
+    InfeasibleCurriculum,
+    UnsupportedRegularizer,
+)
 from selfpaced.experiments import make_regression
+from selfpaced.oracles import GridSpec, grid_constrained_inf
 from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
 from selfpaced.training import TrainConfig, spl_fit, v_step
 
@@ -139,14 +145,18 @@ def counting(reg):
     return copy, calls
 
 
-def chain_region(n, chains):
+def order_region(n, pairs):
+    """The intersection of the orderings v_i >= v_j, one per pair (i, j)."""
     hs = []
-    for chain in chains:
-        for hi, lo in zip(chain[:-1], chain[1:]):
-            k = np.zeros(n)
-            k[hi], k[lo] = 1.0, -1.0
-            hs.append(Halfspace(k, 0.0))
+    for hi, lo in pairs:
+        k = np.zeros(n)
+        k[hi], k[lo] = 1.0, -1.0
+        hs.append(Halfspace(k, 0.0))
     return CurriculumRegion("intersection", tuple(hs))
+
+
+def chain_region(n, chains):
+    return order_region(n, [pair for chain in chains for pair in zip(chain[:-1], chain[1:])])
 
 
 def shuffled_blocks(rng, n, sizes):
@@ -246,6 +256,96 @@ def test_chain_v_step_makes_two_weight_lookups():
     region = chain_region(6, [[0, 1, 2], [3, 4]])
     v_step(np.array([3.0, 2.0, 1.0, 5.0, 4.0, 0.5]), 1.0, reg, region)
     assert calls == [6, 2]  # unconstrained weights, then the two pooled blocks
+
+
+# ==== order forests ===========================================================
+
+
+def recursive_tree(rng, n):
+    """A random recursive tree on shuffled labels, as (parent, child) pairs.
+
+    Node j's parent is uniform among nodes 0..j-1.
+    """
+    label = rng.permutation(n)
+    return [(int(label[rng.integers(j)]), int(label[j])) for j in range(1, n)]
+
+
+def min_slack(v, region):
+    return float(np.min(region.normal_dots(v)))
+
+
+def test_order_forest_lists_parents_first():
+    order, parent = order_region(6, [(4, 1), (4, 0), (1, 5), (1, 2)]).forest
+    assert order.tolist() == [4, 1, 0, 5, 2]
+    assert parent == [-1, 0, 0, 1, 1]
+    assert order_region(3, [(0, 1), (0, 1)]).forest[1] == [-1, 0]  # a repeated ordering
+    assert order_region(3, [(0, 2), (1, 2)]).forest is None  # two parents
+    assert order_region(3, [(0, 1), (1, 2), (2, 0)]).forest is None  # a cycle
+    offset = CurriculumRegion("halfspace", (Halfspace(np.array([1.0, -1.0]), 0.1),))
+    assert offset.forest is None
+
+
+@pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
+def test_forest_v_step_is_the_grid_minimum_at_n_3(reg):
+    rng = np.random.default_rng(61)
+    for pairs in ([(0, 1), (0, 2)], [(1, 0), (1, 2)]):  # one sample above two others
+        region = order_region(3, pairs)
+        for lam in (0.5, 1.0, 2.0):
+            l = rng.uniform(0.0, 3.0, size=3)
+            got = v_step(l, lam, reg, region)
+
+            def objective(v):
+                return float(v @ l + lam * np.sum(reg.r_sp_base(v)))
+
+            value, _, bound = grid_constrained_inf(
+                objective, GridSpec.unit_box(3, count=21),
+                feasible=lambda v: all(v[i] >= v[j] for i, j in pairs),
+            )
+            assert min_slack(got, region) >= 0.0
+            assert value - bound - 1e-9 <= objective(got) <= value + 1e-9
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_forest_v_step_matches_the_dual_on_random_trees(reg):
+    rng = np.random.default_rng(62)
+    for n in (4, 8, 15):
+        pairs = recursive_tree(rng, n)
+        region = order_region(n, pairs)
+        l = rng.uniform(0.0, 3.0, size=n)
+        got = v_step(l, 1.0, reg, region)
+        assert min_slack(got, region) >= 0.0
+        assert np.allclose(got, intersection_reference(reg, 1.0, l, region.halfspaces),
+                           rtol=0, atol=1e-8)
+
+
+def test_forest_v_step_on_a_400_node_tree_meets_every_ordering():
+    # dual coordinate ascent over these 399 orderings stops short of its KKT tolerance
+    rng = np.random.default_rng(1)
+    region = order_region(400, recursive_tree(rng, 400))
+    l = rng.uniform(0.0, 3.0, size=400)
+    got = v_step(l, 1.0, EXP, region)
+    assert min_slack(got, region) >= 0.0
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_hard_forest_v_step_returns_binary_weights():
+    rng = np.random.default_rng(63)
+    region = order_region(60, recursive_tree(rng, 60))
+    for lam in (0.5, 1.5, 3.0):
+        got = v_step(rng.uniform(0.0, 3.0, size=60), lam, HARD, region)
+        assert set(np.unique(got)) <= {0.0, 1.0}
+        assert min_slack(got, region) >= 0.0
+
+
+def test_a_sample_with_two_parents_takes_the_dual_route():
+    region = order_region(3, [(0, 2), (1, 2)])
+    l = np.array([2.0, 2.5, 0.5])  # sample 2 would outweigh both parents
+    got = v_step(l, 1.0, EXP, region)
+    assert min_slack(got, region) >= -1e-9
+    assert np.allclose(got, intersection_reference(EXP, 1.0, l, region.halfspaces),
+                       rtol=0, atol=1e-9)
+    with pytest.raises(UnsupportedRegularizer):
+        v_step(l, 1.0, HARD, region)
 
 
 # ==== the bracket helper ======================================================
