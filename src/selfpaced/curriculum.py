@@ -17,15 +17,18 @@ individual entries of l - beta * k below zero, so F is extended there
 linearly (slope one, full weight); the extension is exact whenever a zero
 loss receives full weight, which holds for every regularizer built here.
 
-This module solves that reduction by root finding on the scaled weight
-balance (affine_action, any b), pools losses per block for groups
-(group_latent), and decodes regions for the v-step.  Ray searches, closed
-forms and grid minimization over v are references and live in oracles.
+This module holds the regions, their decoded forms, and every route of the
+region-constrained weight step (v_step), which training re-exports.  Groups
+and pairwise orderings v_i >= v_j that form a forest (CurriculumRegion.forest)
+need no multiplier: the v-step pools the losses of both, a group being one
+node already pooled, and takes the weights of the isotonic regression
+(Barlow, Bartholomew, Bremner & Brunk, 1972).  Other halfspaces go through
+the dual multiplier search, root finding on the scaled weight balance.
 
-Groups and pairwise orderings v_i >= v_j that form a forest
-(CurriculumRegion.forest) need no multiplier: the v-step pools the losses of
-both, a group being one node already pooled, and takes the weights of the
-isotonic regression (Barlow, Bartholomew, Bremner & Brunk, 1972).
+The constrained latents build on those routes: affine_action runs the same
+multiplier search for one halfspace (any b) and adds the dual value, and
+group_latent pools through the v-step's groups route.  Ray searches, closed
+forms and grid minimization over v are references and live in oracles.
 """
 
 from __future__ import annotations
@@ -34,12 +37,20 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
 from .conjugacy import Halfspace
-from .errors import BadParam, BadPartition, NoRoot, SingularRegion
+from .errors import (
+    BadParam,
+    BadPartition,
+    InfeasibleCurriculum,
+    NoRoot,
+    SingularRegion,
+    UnsupportedRegularizer,
+)
 from .regularizers import SPRegularizer
 
 # a batched balance evaluation takes at most this many betas, and at most this
@@ -62,18 +73,6 @@ def check_partition(partition: Sequence[Sequence[int]], n: int) -> tuple:
             f"partition must cover indices 0..{n - 1} exactly once, got {sorted(seen)}"
         )
     return blocks
-
-
-def partition_labels(partition: Sequence[Sequence[int]], n: int):
-    """Block label of each of n samples and the size of each block.
-
-    Raises BadPartition unless the partition covers 0..n-1 exactly once.
-    """
-    blocks = check_partition(partition, n)
-    counts = np.array([len(b) for b in blocks])
-    labels = np.empty(n, dtype=np.intp)
-    labels[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), counts)
-    return labels, counts
 
 
 def _pair_normal(k: np.ndarray):
@@ -114,6 +113,14 @@ def _order_forest(halfspaces):
         np.array(order, dtype=np.intp),
         [position[parent[i]] if i in parent else -1 for i in order],
     )
+
+
+def _halfspace_from_dict(item) -> Halfspace:
+    """A halfspace from its JSON form {"k": [...], "b": ...}; BadParam if malformed."""
+    try:
+        return Halfspace(np.asarray(item["k"], dtype=float), float(item.get("b", 0.0)))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BadParam(f"bad halfspace spec: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -163,36 +170,26 @@ class CurriculumRegion:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise BadParam("region spec must be an object with a 'kind' key")
         kind = spec["kind"]
-        known = {"none", "halfspace", "intersection", "groups"}
-        if kind not in known:
-            raise BadParam(f"unknown region kind {kind!r}")
         allowed = {
             "none": {"kind"},
             "halfspace": {"kind", "k", "b"},
             "intersection": {"kind", "halfspaces"},
             "groups": {"kind", "partition"},
-        }[kind]
-        extra = set(spec) - allowed
+        }
+        if not isinstance(kind, str) or kind not in allowed:
+            raise BadParam(f"unknown region kind {kind!r}")
+        extra = set(spec) - allowed[kind]
         if extra:
             raise BadParam(f"unexpected keys in region spec: {sorted(extra)}")
         if kind == "none":
             return cls("none")
         if kind == "halfspace":
-            try:
-                h = Halfspace(np.asarray(spec["k"], dtype=float), float(spec.get("b", 0.0)))
-            except (ValueError, KeyError) as exc:
-                raise BadParam(f"bad halfspace spec: {exc}") from None
-            return cls("halfspace", (h,))
+            return cls("halfspace", (_halfspace_from_dict(spec),))
         if kind == "intersection":
-            hs = []
-            for item in spec.get("halfspaces", []):
-                try:
-                    hs.append(
-                        Halfspace(np.asarray(item["k"], dtype=float), float(item.get("b", 0.0)))
-                    )
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise BadParam(f"bad halfspace spec: {exc}") from None
-            return cls("intersection", tuple(hs))
+            items = spec.get("halfspaces", [])
+            if not isinstance(items, list):
+                raise BadParam("intersection 'halfspaces' must be a list")
+            return cls("intersection", tuple(_halfspace_from_dict(item) for item in items))
         return cls("groups", partition=tuple(tuple(b) for b in spec.get("partition", [])))
 
     def to_dict(self) -> dict:
@@ -235,8 +232,16 @@ class CurriculumRegion:
 
     @cached_property
     def group_labels(self):
-        """(labels, counts): block label of every sample and every block's size."""
-        return partition_labels(self.partition, sum(len(b) for b in self.partition))
+        """(labels, counts): block label of every sample and every block's size.
+
+        Raises BadPartition unless the blocks cover 0..n-1 exactly once.
+        """
+        n = sum(len(b) for b in self.partition)
+        blocks = check_partition(self.partition, n)
+        counts = np.array([len(b) for b in blocks])
+        labels = np.empty(n, dtype=np.intp)
+        labels[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), counts)
+        return labels, counts
 
     @cached_property
     def _normals(self):
@@ -272,7 +277,7 @@ class CurriculumRegion:
     def _supports(self):
         """Per halfspace, the indices where its normal is nonzero and the normal's norm.
 
-        Only the dual v-step routes read these, so an order forest never keeps
+        Only the multiplier search reads these, so an order forest never keeps
         one index array per ordering.
         """
         return tuple((np.flatnonzero(h.k), float(np.linalg.norm(h.k))) for h in self.halfspaces)
@@ -318,10 +323,6 @@ def weight_extended(reg: SPRegularizer, lam: float, l):
     return np.where(inside, vals, 1.0)
 
 
-def _joint_latent_ext(reg: SPRegularizer, lam: float, l: np.ndarray) -> float:
-    return float(np.sum(latent_extended(reg, lam, l)))
-
-
 # ==== results =================================================================
 
 
@@ -333,26 +334,15 @@ class CurriculumActionResult:
     weights minimizing weight vector, when available
     beta    multiplier of the active halfspace direction (0 when unaffected)
     side    'unaffected' or 'penalized' for halfspace regions, '-' otherwise
-    status  'ok' or 'diverged' (the constrained value is unbounded)
     """
 
     value: float
     weights: np.ndarray | None = None
     beta: float | None = None
     side: str = "-"
-    status: str = "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "weights": None if self.weights is None else [float(w) for w in self.weights],
-            "beta": None if self.beta is None else float(self.beta),
-            "side": self.side,
-            "status": self.status,
-        }
 
 
-# ==== halfspace actions =======================================================
+# ==== the multiplier search ===================================================
 
 
 def _batch_width(support: int) -> int:
@@ -522,18 +512,183 @@ def balance_root(
     return _secant_shrink(balance, b, lo, f_lo, up, f_up, width, atol, rtol)
 
 
-def _halfspace_multiplier(reg, lam, l, h, support, norm, atol=1e-10, rtol=0.0, start=None):
+def _halfspace_multiplier(reg, lam, l, region, j, atol=1e-10, rtol=0.0, start=None):
     """Least beta >= 0 with <weight_ext(l - beta * k), k> >= b, from the feasible side.
 
-    The dual multiplier search that affine_action and the v-step's halfspace
-    and intersection routes share; atol defaults to the single halfspace's
-    bracket.  support and norm are np.flatnonzero(k) and the Euclidean norm
-    of k; the search scale is ||l|| / ||k||, at least 1.  See balance_root
-    for the tolerances, `start` and NoRoot.
+    The dual multiplier search for the region's halfspace j, which
+    affine_action and the v-step's halfspace and intersection routes share;
+    atol defaults to the single halfspace's bracket.  The search scale is
+    ||l|| / ||k||, at least 1.  See balance_root for the tolerances, `start`
+    and NoRoot.
     """
+    h = region.halfspaces[j]
+    support, norm = region._supports[j]
     balance, width = support_balance(reg, lam, l, h.k, support)
     hi = max(1.0, float(np.linalg.norm(l)) / norm)
     return balance_root(balance, h.b, hi, width, atol, rtol, start=start)
+
+
+# ==== the v-step ==============================================================
+
+
+def _pooled_weights(reg, lam, sums, counts, parent):
+    """The weight of every node's pooled mean loss under a forest order.
+
+    Node p holds counts[p] samples with total loss sums[p]; parent[p] < p is
+    the node whose weight must be at least p's, or -1 (parent may be empty:
+    no edges).  From the last node to the first, each block absorbs its
+    child block of least mean while that mean lies below its own, from a
+    min-heap per block, merged smaller into larger (Pardalos & Xue, 1999);
+    on a chain this is pool adjacent violators.  The pooled means are the
+    isotonic regression of the losses, and their weights, in one lookup,
+    are the v-step's exact minimizer (Barlow-Brunk).
+    """
+    means = sums / counts
+    if not parent:
+        return np.asarray(reg.weight(lam, means), dtype=float)
+    means, sums, counts = means.tolist(), sums.tolist(), counts.tolist()
+    block = list(range(len(sums)))  # the node whose block absorbed each node
+    heaps: list = [[] for _ in block]  # per block, (mean, node) of its child blocks
+    for p in range(len(block) - 1, -1, -1):
+        heap = heaps[p]
+        if heap and heap[0][0] < means[p]:
+            s, c, mean = sums[p], counts[p], means[p]
+            while heap and heap[0][0] < mean:
+                child = heappop(heap)[1]
+                s, c, block[child] = s + sums[child], c + counts[child], p
+                mean = s / c
+                other = heaps[child]
+                if len(other) > len(heap):
+                    heap, other = other, heap
+                for item in other:
+                    heappush(heap, item)
+            sums[p], counts[p], means[p], heaps[p] = s, c, mean, heap
+        if parent[p] >= 0:
+            heappush(heaps[parent[p]], (means[p], p))
+    pooled: list = []
+    for p, t in enumerate(block):  # now each node's block index: t < p is done
+        block[p] = block[t] if t < p else len(pooled)
+        if t == p:
+            pooled.append(means[p])
+    return np.asarray(reg.weight(lam, np.array(pooled)), dtype=float)[block]
+
+
+def _dual_single_halfspace(reg, lam, l, v0, region):
+    """The v-step under one halfspace, from the unconstrained weights v0."""
+    h = region.halfspaces[0]
+    if abs(h.b - region.caps[0]) <= 1e-12:
+        # b is the box maximum of <k, v>: every coordinate the normal reads is forced
+        return np.where(h.k > 0, 1.0, np.where(h.k < 0, 0.0, v0))
+    memory = region._multipliers
+    beta, v = 0.0, v0
+    if not float(v0 @ h.k) >= h.b - 1e-12:  # the free weights miss the halfspace
+        start = None if memory is None else memory[0]
+        try:
+            beta = _halfspace_multiplier(reg, lam, l, region, 0, start=start)
+        except NoRoot as exc:
+            raise InfeasibleCurriculum(str(exc)) from None
+        v = weight_extended(reg, lam, l - beta * h.k)
+    if memory is not None:
+        memory[0] = beta
+    return v
+
+
+def _dual_intersection(reg, lam, l, region):
+    b = region.offsets
+    memory = region._multipliers
+    mu = np.zeros(b.size) if memory is None else memory.copy()
+
+    for _ in range(200):  # coordinate-ascent sweeps
+        for j in range(b.size):
+            other = mu.copy()
+            other[j] = 0.0
+            l_eff = l - region.normal_mix(other)
+            try:
+                # the feasible side for this constraint, searched from its last value
+                mu[j] = _halfspace_multiplier(
+                    reg, lam, l_eff, region, j, 1e-12, 1e-12, start=mu[j]
+                )
+            except NoRoot:
+                raise InfeasibleCurriculum(
+                    "dual ascent cannot satisfy a halfspace; region may be "
+                    "infeasible or the penalty too flat"
+                ) from None
+        v = weight_extended(reg, lam, l - region.normal_mix(mu))
+        slack = region.normal_dots(v) - b
+        if float(slack.min()) >= -1e-9 and float(np.max(mu * np.abs(slack))) <= 1e-8:
+            if memory is not None:
+                memory[:] = mu
+            return v
+    raise InfeasibleCurriculum(
+        "dual coordinate ascent did not reach KKT tolerance; region may be "
+        "degenerate for this penalty"
+    )
+
+
+def v_step(
+    l: np.ndarray,
+    lam: float,
+    reg: SPRegularizer,
+    region: CurriculumRegion | None = None,
+) -> np.ndarray:
+    """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
+
+    Routing: no region -> elementwise weights; groups, and pairwise orderings
+    that form a forest -> the weights of the pooled mean losses
+    (_pooled_weights: a group is one node of its size, an ordered sample one
+    of size one); other halfspaces -> dual multiplier search (a safeguarded
+    secant search per constraint, started from the region's last multipliers
+    when it is a warm_copy), which requires a strictly convex penalty and so
+    refuses the binary-weight penalty.  Free weights that meet every
+    halfspace are returned as they are.  Every route takes its weights from
+    reg.weight, which clips them into [0, 1], or sets them to exactly 0 or 1.
+    """
+    l = np.asarray(l, dtype=float)
+    if region is None or region.kind == "none":
+        return reg.weight(lam, l)  # which rejects negative losses
+
+    v0 = None
+    if region.halfspaces:
+        v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
+        if region.dim != l.size:
+            raise BadParam(
+                f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
+            )
+        if region.unreachable.size:
+            j = region.unreachable[0]
+            raise InfeasibleCurriculum(
+                f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
+                f"(maximum attainable is {region.caps[j]})"
+            )
+        if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
+            return v0
+
+    if region.kind == "groups" or region.forest is not None:
+        if v0 is not None:  # an order forest: samples outside it keep their free weights
+            order, parent = region.forest
+            v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
+            return v0
+        if l.size and l.min() < 0:  # a block mean could hide a negative loss
+            raise BadParam("losses must be nonnegative")
+        labels, counts = region.group_labels
+        if labels.size != l.size:
+            raise BadPartition(
+                f"partition covers {labels.size} samples, but there are {l.size} losses"
+            )
+        sums = np.bincount(labels, weights=l, minlength=counts.size)
+        return _pooled_weights(reg, lam, sums, counts, ())[labels]
+
+    if reg.name == "hard":
+        raise UnsupportedRegularizer(
+            "binary-weight penalty supports only groups and pairwise-order forests "
+            "among curriculum regions"
+        )
+    if region.kind == "halfspace":
+        return _dual_single_halfspace(reg, lam, l, v0, region)
+    return _dual_intersection(reg, lam, l, region)
+
+
+# ==== constrained latents =====================================================
 
 
 def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> CurriculumActionResult:
@@ -546,32 +701,27 @@ def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> Curriculum
     offset, <weight_ext(l - beta * k), k> = b, and is bracketed on that
     nondecreasing function to absolute tolerance 1e-10, from the side where
     the weights meet the constraint.  Raises NoRoot when no beta achieves
-    the balance (the supremum diverges).  The v-step's halfspace route runs
-    the same multiplier search without this function: it needs no latent
-    value and already holds the unconstrained weights.
+    the balance (the supremum diverges), and BadParam on negative losses.
+    Unlike the v-step's halfspace route it accepts the binary-weight penalty.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != h.k.shape:
         raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
 
-    w = weight_extended(reg, lam, l)
+    w = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
     beta = 0.0
     side = "unaffected" if float(w @ h.k) >= h.b - 1e-12 else "penalized"
     if side == "penalized":
-        cap = float(np.sum(np.maximum(h.k, 0.0)))  # limit of the balance as beta grows
-        if h.b > cap + 1e-12:
+        region = CurriculumRegion("halfspace", (h,))
+        if region.unreachable.size:  # b exceeds the balance's limit as beta grows
             raise NoRoot(
-                f"offset b={h.b} exceeds the attainable weight balance {cap}; "
+                f"offset b={h.b} exceeds the attainable weight balance {region.caps[0]}; "
                 "the constrained latent diverges"
             )
-        support, norm = np.flatnonzero(h.k), float(np.linalg.norm(h.k))
-        beta = _halfspace_multiplier(reg, lam, l, h, support, norm)
+        beta = _halfspace_multiplier(reg, lam, l, region, 0)
         w = weight_extended(reg, lam, l - beta * h.k)
-    value = _joint_latent_ext(reg, lam, l - beta * h.k) + beta * h.b
+    value = float(np.sum(latent_extended(reg, lam, l - beta * h.k))) + beta * h.b
     return CurriculumActionResult(value, w, beta, side)
-
-
-# ==== group action ============================================================
 
 
 def group_latent(
@@ -580,12 +730,14 @@ def group_latent(
     """Latent when weights are constant within each block of a partition.
 
     Each block of size s with mean loss m contributes s * latent(lam, m),
-    and every sample in the block takes the weight of the block mean.
+    and every sample in the block takes the weight of the block mean, from
+    the v-step's groups route (which checks the partition and the losses).
     """
     l = np.asarray(l, dtype=float)
-    labels, counts = partition_labels(partition, l.size)
+    region = CurriculumRegion("groups", partition=partition)
+    weights = v_step(l, lam, reg, region)
+    labels, counts = region.group_labels
     means = np.bincount(labels, weights=l, minlength=counts.size) / counts
-    block_w = np.asarray(reg.weight(lam, means), dtype=float)
     per_block = counts * np.asarray(reg.latent(lam, means), dtype=float)
     total = float(sum(per_block))  # a running sum in block order
-    return CurriculumActionResult(total, block_w[labels], None, "-")
+    return CurriculumActionResult(total, weights, None, "-")

@@ -223,7 +223,7 @@ def homogeneous_action_ray(
     Maximizes the concave map t -> F_ext(l - t * k) over t >= 0 with
     bracketing and golden-section refinement.  When the map keeps growing
     (possible when the latent is unbounded along the ray) the result has
-    status 'diverged' and value +inf.
+    value +inf, beta +inf and no weights.
     """
     if abs(h.b) > 0:
         raise BadParam("ray search applies to homogeneous halfspaces (b = 0)")
@@ -247,7 +247,7 @@ def homogeneous_action_ray(
         f_prev, f_hi = f_hi, value_at(t_hi)
         doublings += 1
         if doublings > max_doublings:
-            return CurriculumActionResult(np.inf, None, np.inf, side, status="diverged")
+            return CurriculumActionResult(np.inf, None, np.inf, side)
 
     lo, hi = 0.0, t_hi
     a = hi - _GOLDEN * (hi - lo)

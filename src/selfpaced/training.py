@@ -6,8 +6,10 @@ The training objective couples model parameters w with per-sample weights v:
 
 and is solved by alternation: the v-step minimizes over weights (optionally
 inside a curriculum region), the w-step solves the weighted model fit.  The
-age parameter lam grows across stages following a schedule, admitting harder
-samples over time.  The same problem has an equivalent unweighted form
+v-step and its routes live in curriculum, next to the regions; this module
+re-exports v_step.  The age parameter lam grows across stages following a
+schedule, admitting harder samples over time.  The same problem has an
+equivalent unweighted form
 
     G(w) = sum_i latent(lam, l_i(w)) + alpha * ||w||^2
 
@@ -23,27 +25,14 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from .curriculum import (
-    CurriculumRegion,
-    _halfspace_multiplier,
-    affine_action,  # noqa: F401  unused here; bench/tracer.py wraps training.affine_action
-    weight_extended,
-)
-from .errors import (
-    BadFractions,
-    BadLabels,
-    BadParam,
-    BadPartition,
-    InfeasibleCurriculum,
-    NoRoot,
-    SingularSystem,
-    UnsupportedRegularizer,
-)
+# affine_action and weight_extended are unused here: bench/tracer.py wraps them
+# as training attributes, and v_step as the one spl_fit and gradient_norm call
+from .curriculum import CurriculumRegion, affine_action, v_step, weight_extended  # noqa: F401
+from .errors import BadFractions, BadLabels, BadParam, SingularSystem
 from .regularizers import SPRegularizer, get_regularizer
 
 WEIGHT_EPS = 1e-6  # a weight above this counts as "positive" for schedules
@@ -341,172 +330,6 @@ def _weighted_logistic(
         else:
             break  # no productive step left; gradient is numerically flat
     return w
-
-
-# ==== the v-step ==============================================================
-
-
-def _pooled_weights(reg, lam, sums, counts, parent):
-    """The weight of every node's pooled mean loss under a forest order.
-
-    Node p holds counts[p] samples with total loss sums[p]; parent[p] < p is
-    the node whose weight must be at least p's, or -1 (parent may be empty:
-    no edges).  From the last node to the first, each block absorbs its
-    child block of least mean while that mean lies below its own, from a
-    min-heap per block, merged smaller into larger (Pardalos & Xue, 1999);
-    on a chain this is pool adjacent violators.  The pooled means are the
-    isotonic regression of the losses, and their weights, in one lookup,
-    are the v-step's exact minimizer (Barlow-Brunk).
-    """
-    means = sums / counts
-    if not parent:
-        return np.asarray(reg.weight(lam, means), dtype=float)
-    means, sums, counts = means.tolist(), sums.tolist(), counts.tolist()
-    block = list(range(len(sums)))  # the node whose block absorbed each node
-    heaps: list = [[] for _ in block]  # per block, (mean, node) of its child blocks
-    for p in range(len(block) - 1, -1, -1):
-        heap = heaps[p]
-        if heap and heap[0][0] < means[p]:
-            s, c, mean = sums[p], counts[p], means[p]
-            while heap and heap[0][0] < mean:
-                child = heappop(heap)[1]
-                s, c, block[child] = s + sums[child], c + counts[child], p
-                mean = s / c
-                other = heaps[child]
-                if len(other) > len(heap):
-                    heap, other = other, heap
-                for item in other:
-                    heappush(heap, item)
-            sums[p], counts[p], means[p], heaps[p] = s, c, mean, heap
-        if parent[p] >= 0:
-            heappush(heaps[parent[p]], (means[p], p))
-    pooled: list = []
-    for p, t in enumerate(block):  # now each node's block index: t < p is done
-        block[p] = block[t] if t < p else len(pooled)
-        if t == p:
-            pooled.append(means[p])
-    return np.asarray(reg.weight(lam, np.array(pooled)), dtype=float)[block]
-
-
-def _feasibility_precheck(region: CurriculumRegion):
-    if region.unreachable.size:
-        j = region.unreachable[0]
-        raise InfeasibleCurriculum(
-            f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
-            f"(maximum attainable is {region.caps[j]})"
-        )
-
-
-def _dual_single_halfspace(reg, lam, l, v0, region):
-    """The v-step under one halfspace, from the unconstrained weights v0."""
-    h = region.halfspaces[0]
-    if abs(h.b - region.caps[0]) <= 1e-12:
-        # b is the box maximum of <k, v>: every coordinate the normal reads is forced
-        return np.where(h.k > 0, 1.0, np.where(h.k < 0, 0.0, v0))
-    memory = region._multipliers
-    beta, v = 0.0, v0
-    if not float(v0 @ h.k) >= h.b - 1e-12:  # the free weights miss the halfspace
-        support, norm = region._supports[0]
-        start = None if memory is None else memory[0]
-        try:
-            beta = _halfspace_multiplier(reg, lam, l, h, support, norm, start=start)
-        except NoRoot as exc:
-            raise InfeasibleCurriculum(str(exc)) from None
-        v = weight_extended(reg, lam, l - beta * h.k)
-    if memory is not None:
-        memory[0] = beta
-    return v
-
-
-def _dual_intersection(reg, lam, l, region):
-    b = region.offsets
-    memory = region._multipliers
-    mu = np.zeros(b.size) if memory is None else memory.copy()
-
-    for _ in range(200):  # coordinate-ascent sweeps
-        for j, h in enumerate(region.halfspaces):
-            other = mu.copy()
-            other[j] = 0.0
-            l_eff = l - region.normal_mix(other)
-            support, norm = region._supports[j]
-            try:
-                # the feasible side for this constraint, searched from its last value
-                mu[j] = _halfspace_multiplier(
-                    reg, lam, l_eff, h, support, norm, 1e-12, 1e-12, start=mu[j]
-                )
-            except NoRoot:
-                raise InfeasibleCurriculum(
-                    "dual ascent cannot satisfy a halfspace; region may be "
-                    "infeasible or the penalty too flat"
-                ) from None
-        v = weight_extended(reg, lam, l - region.normal_mix(mu))
-        slack = region.normal_dots(v) - b
-        if float(slack.min()) >= -1e-9 and float(np.max(mu * np.abs(slack))) <= 1e-8:
-            if memory is not None:
-                memory[:] = mu
-            return v
-    raise InfeasibleCurriculum(
-        "dual coordinate ascent did not reach KKT tolerance; region may be "
-        "degenerate for this penalty"
-    )
-
-
-def v_step(
-    l: np.ndarray,
-    lam: float,
-    reg: SPRegularizer,
-    region: CurriculumRegion | None = None,
-) -> np.ndarray:
-    """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
-
-    Routing: no region -> elementwise weights; groups, and pairwise orderings
-    that form a forest -> the weights of the pooled mean losses
-    (_pooled_weights: a group is one node of its size, an ordered sample one
-    of size one); other halfspaces -> dual multiplier search (a safeguarded
-    secant search per constraint, started from the region's last multipliers
-    when it is a warm_copy), which requires a strictly convex penalty and so
-    refuses the binary-weight penalty.  Free weights that meet every
-    halfspace are returned as they are.  Every route takes its weights from
-    reg.weight, which clips them into [0, 1], or sets them to exactly 0 or 1.
-    """
-    l = np.asarray(l, dtype=float)
-    if region is None or region.kind == "none":
-        return reg.weight(lam, l)  # which rejects negative losses
-
-    v0 = None
-    if region.halfspaces:
-        v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
-        if region.dim != l.size:
-            raise BadParam(
-                f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
-            )
-        _feasibility_precheck(region)
-        if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
-            return v0
-
-    if region.kind == "groups" or region.forest is not None:
-        if v0 is not None:  # an order forest: samples outside it keep their free weights
-            order, parent = region.forest
-            v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
-            return v0
-        if l.size and l.min() < 0:  # a block mean could hide a negative loss
-            raise BadParam("losses must be nonnegative")
-        labels, counts = region.group_labels
-        if labels.size != l.size:
-            raise BadPartition(
-                f"partition covers {labels.size} samples, but there are {l.size} losses"
-            )
-        sums = np.bincount(labels, weights=l, minlength=counts.size)
-        return _pooled_weights(reg, lam, sums, counts, ())[labels]
-
-    if reg.name == "hard":
-        raise UnsupportedRegularizer(
-            "binary-weight penalty supports only groups and pairwise-order forests "
-            "among curriculum regions"
-        )
-    if region.kind == "halfspace":
-        return _dual_single_halfspace(reg, lam, l, v0, region)
-    return _dual_intersection(reg, lam, l, region)
 
 
 # ==== age schedules ===========================================================

@@ -220,6 +220,19 @@ def test_curriculum_zero_normal_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [{"k": {"a": 1}}, {"k": [1.0, 0.0], "b": [1]}])
+@pytest.mark.parametrize("kind", ["halfspace", "intersection"])
+def test_curriculum_malformed_halfspace_entry_exits_two(tmp_path, capsys, kind, entry):
+    region = (
+        {"kind": kind, **entry} if kind == "halfspace" else {"kind": kind, "halfspaces": [entry]}
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"region": region}))
+    code = main(["curriculum", "--config", str(config), "--grid", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "curriculum setup failed: bad halfspace spec" in capsys.readouterr().err
+
+
 # ==== fit =====================================================================
 
 

@@ -83,6 +83,20 @@ def test_region_dict_rejects_unknown_keys():
         CurriculumRegion.from_dict({"kind": "mystery"})
     with pytest.raises(BadParam):
         CurriculumRegion.from_dict({"halfspaces": []})
+    with pytest.raises(BadParam):
+        CurriculumRegion.from_dict({"kind": "intersection", "halfspaces": 3})
+
+
+@pytest.mark.parametrize(
+    "entry", [{"k": {"a": 1}}, {"k": [1.0, 0.0], "b": [1]}, {"b": 0.0}, {"k": [0.0, 0.0]}, [1.0]]
+)
+def test_region_dict_parses_halfspace_entries_alike(entry):
+    # one parser for each entry: malformed ones are BadParam in both kinds
+    if isinstance(entry, dict):
+        with pytest.raises(BadParam, match="bad halfspace spec"):
+            CurriculumRegion.from_dict({"kind": "halfspace", **entry})
+    with pytest.raises(BadParam, match="bad halfspace spec"):
+        CurriculumRegion.from_dict({"kind": "intersection", "halfspaces": [entry]})
 
 
 def test_feasible_mask():
@@ -224,6 +238,12 @@ def test_affine_action_infeasible_offset_diverges():
         affine_action(EXP, 1.0, np.array([2.0, 1.0]), Halfspace(np.array([1.0, -1.0]), 1.5))
 
 
+def test_affine_action_rejects_negative_losses():
+    # the free weights come from reg.weight, which refuses them like the v-step
+    with pytest.raises(BadParam):
+        affine_action(EXP, 1.0, np.array([-1.0, 2.0]), Halfspace(np.array([1.0, 0.0]), 0.5))
+
+
 # ==== group pooling ===========================================================
 
 
@@ -243,6 +263,12 @@ def test_group_latent_mixed_block_sizes():
 def test_group_latent_rejects_bad_partition():
     with pytest.raises(BadPartition):
         group_latent(EXP, 1.0, np.array([1.0, 2.0]), ((0,),))
+
+
+def test_group_latent_rejects_negative_losses():
+    # a block mean of 0.5 would hide the negative loss
+    with pytest.raises(BadParam):
+        group_latent(EXP, 1.0, np.array([-0.5, 1.5]), ((0, 1),))
 
 
 # ==== numeric reference =======================================================
