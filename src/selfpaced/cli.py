@@ -313,11 +313,11 @@ def cmd_curriculum(args) -> int:
     except SelfPacedError as exc:
         print(f"curriculum setup failed: {exc}", file=sys.stderr)
         return 2
-    if region.kind == "intersection":
-        raise _InputError("curriculum lattice supports halfspace/groups/none regions")
+    if len(region.halfspaces) > 1:
+        raise _InputError("curriculum lattice supports regions of at most one halfspace")
 
     axis = np.linspace(0.0, merged["span"], merged["grid"])
-    halfspace = region.halfspaces[0] if region.kind == "halfspace" else None
+    halfspace = region.halfspaces[0] if region.halfspaces else None
     rows = []
     sides = {"unaffected": 0, "penalized": 0}
     boundary = []
@@ -328,7 +328,7 @@ def cmd_curriculum(args) -> int:
                 l = np.array([l1, l2])
                 base = float(np.sum(reg.latent(lam, l)))
                 fnew, side = base, "-"
-                if region.kind == "groups":
+                if region.partition:
                     fnew = group_latent(reg, lam, l, region.partition).value
                 elif halfspace is not None:
                     try:

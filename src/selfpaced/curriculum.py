@@ -18,12 +18,12 @@ linearly (slope one, full weight); the extension is exact whenever a zero
 loss receives full weight, which holds for every regularizer built here.
 
 This module holds the regions, their decoded forms, and every route of the
-region-constrained weight step (v_step), which training re-exports.  Groups
-and pairwise orderings v_i >= v_j that form a forest (CurriculumRegion.forest)
-need no multiplier: the v-step pools the losses of both, a group being one
-node already pooled, and takes the weights of the isotonic regression
-(Barlow, Bartholomew, Bremner & Brunk, 1972).  Other halfspaces go through
-the dual multiplier search, root finding on the scaled weight balance.
+region-constrained weight step (v_step), which training re-exports; the
+route follows what a region holds, not its kind.  Groups and orderings
+v_i >= v_j that form a forest (CurriculumRegion.forest) need no multiplier:
+the v-step pools the losses of both, a group being one node already pooled,
+and takes the weights of the isotonic regression (Barlow, Bartholomew,
+Bremner & Brunk, 1972).  Other halfspaces take the dual multiplier search.
 
 The constrained latents build on those routes: affine_action runs the same
 multiplier search for one halfspace (any b) and adds the dual value, and
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
@@ -63,50 +64,55 @@ _BATCH_ELEMENTS = 2**16
 
 
 def check_partition(partition: Sequence[Sequence[int]], n: int) -> tuple:
-    """Validate that partition covers 0..n-1 exactly once; return it as tuples."""
-    blocks = tuple(tuple(int(i) for i in block) for block in partition)
-    seen = [i for block in blocks for i in block]
-    if not blocks or any(len(b) == 0 for b in blocks):
+    """Validate that a partition of int blocks covers 0..n-1 exactly once; return it."""
+    seen = [i for block in partition for i in block]
+    if not partition or any(len(b) == 0 for b in partition):
         raise BadPartition("partition must consist of nonempty blocks")
     if sorted(seen) != list(range(n)):
         raise BadPartition(
             f"partition must cover indices 0..{n - 1} exactly once, got {sorted(seen)}"
         )
-    return blocks
+    return partition
 
 
-def _pair_normal(k: np.ndarray):
-    """Decode k as a pairwise ordering v_i >= v_j; None if not that shape."""
-    nz = np.flatnonzero(k)
-    if nz.size != 2:
-        return None
-    a, b = nz
-    if not math.isclose(k[a], -k[b], rel_tol=1e-12, abs_tol=0.0):
-        return None
-    return (a, b) if k[a] > 0 else (b, a)
+def _sparse_normals(halfspaces):
+    """Read every normal once, into its nonzero entries.
+
+    Returns (rows, cols, vals, starts, norms, n): halfspace j's nonzeros sit
+    at cols[starts[j]:starts[j + 1]] with values vals[starts[j]:starts[j + 1]],
+    norms[j] is its Euclidean norm and n the common length of the normals.
+    """
+    if len({h.k.size for h in halfspaces}) > 1:
+        raise BadParam("halfspace normals differ in dimension")
+    cols = [np.flatnonzero(h.k != 0) for h in halfspaces]  # faster on a bool mask
+    starts = np.cumsum([0] + [c.size for c in cols])
+    rows = np.repeat(np.arange(len(cols)), np.diff(starts))
+    vals = np.concatenate([h.k[c] for h, c in zip(halfspaces, cols)])
+    norms = np.sqrt(np.bincount(rows, weights=vals * vals, minlength=len(cols)))
+    if np.any(norms < 1e-12):
+        raise SingularRegion("halfspace normal is numerically zero")
+    return rows, np.concatenate(cols), vals, starts, norms, halfspaces[0].k.size
 
 
-def _order_forest(halfspaces):
-    """Decode an intersection of pairwise orderings as a forest.
+def _order_forest(parents, children):
+    """Decode the orderings v_parents[t] >= v_children[t] as a forest.
 
-    An ordering v_i >= v_j makes i the parent of j.  Returns (order, parent):
-    order lists every sample an ordering names, each after its parent, and
-    parent[p] is the position in order of order[p]'s parent, or -1 for a
-    root.  None unless every halfspace is a homogeneous pairwise ordering
-    (b = 0, k = e_i - e_j) and no sample has two parents or lies on a cycle.
+    Returns (order, parent): order lists every sample an ordering names, each
+    after its parent, and parent[p] is the position in order of order[p]'s
+    parent, or -1 for a root.  None when a sample has two parents or lies on
+    a cycle.
     """
     parent: dict = {}
-    for h in halfspaces:
-        pair = _pair_normal(h.k) if h.b == 0 else None
-        if pair is None or parent.setdefault(pair[1], pair[0]) != pair[0]:
-            return None  # not a homogeneous pairwise ordering, or a second parent
-    children: dict = {}
+    for hi, lo in zip(parents, children):
+        if parent.setdefault(lo, hi) != hi:
+            return None  # a second parent
+    children_of: dict = {}
     for lo, hi in parent.items():
-        children.setdefault(hi, []).append(lo)
-    order = [i for i in children if i not in parent]
+        children_of.setdefault(hi, []).append(lo)
+    order = [i for i in children_of if i not in parent]
     for i in order:  # grows while it is read: breadth first from the roots
-        order.extend(children.get(i, ()))
-    if len(order) < len(parent.keys() | children.keys()):
+        order.extend(children_of.get(i, ()))
+    if len(order) < len(parent.keys() | children_of.keys()):
         return None  # the samples left out lie on a cycle
     position = {i: p for p, i in enumerate(order)}
     return (
@@ -127,36 +133,44 @@ def _halfspace_from_dict(item) -> Halfspace:
 class CurriculumRegion:
     """A constraint region for the weight vector.
 
-    kind is one of 'none', 'halfspace', 'intersection', 'groups'.  For the
-    halfspace kinds the normals live in `halfspaces`; for 'groups' the block
-    structure lives in `partition`.  The array forms the v-step works with
-    (block labels, the order forest, the nonzeros of the normals) are
-    decoded once, on first use.  A region built by its constructor is
-    stateless; only the copy that warm_copy() returns records multipliers.
+    kind ('none', 'halfspace', 'intersection', 'groups') names the JSON shape;
+    the v-step routes on the content.  The halfspace kinds hold normals in
+    `halfspaces` (one for 'halfspace'), 'groups' holds `partition`, 'none'
+    neither.  Each normal is read once, here, into its nonzero entries, from
+    which the caps, the multiplier search and the order forest derive; block
+    labels and the forest are decoded on first use.  A region built by its
+    constructor is stateless; only the copy that warm_copy() returns records
+    multipliers.
     """
 
     kind: str = "none"
     halfspaces: tuple = field(default_factory=tuple)
     partition: tuple = field(default_factory=tuple)
+    # the nonzeros of the normals (_sparse_normals), when there are halfspaces
+    _normals: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # the last dual multiplier of each halfspace, on a warm_copy() only
     _multipliers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "halfspace", "intersection", "groups"):
             raise BadParam(f"unknown region kind {self.kind!r}")
+        try:  # one pass over the partition: each entry must be an integer index
+            blocks = tuple(tuple(operator.index(i) for i in b) for b in self.partition)
+        except TypeError:
+            raise BadPartition("partition must be a list of blocks of integer indices") from None
+        object.__setattr__(self, "partition", blocks)
         if self.kind == "halfspace" and len(self.halfspaces) != 1:
             raise BadParam("halfspace region needs exactly one halfspace")
         if self.kind == "intersection" and len(self.halfspaces) == 0:
             raise BadParam("intersection region needs at least one halfspace")
         if self.kind == "groups" and len(self.partition) == 0:
             raise BadPartition("groups region needs a partition")
-        for h in self.halfspaces:
-            norm = float(np.linalg.norm(h.k))
-            if norm < 1e-12:
-                raise SingularRegion("halfspace normal is numerically zero")
-        object.__setattr__(
-            self, "partition", tuple(tuple(int(i) for i in b) for b in self.partition)
-        )
+        if self.halfspaces and self.kind in ("none", "groups"):
+            raise BadParam(f"a {self.kind} region holds no halfspaces")
+        if self.partition and self.kind != "groups":
+            raise BadParam(f"a {self.kind} region holds no partition")
+        if self.halfspaces:
+            object.__setattr__(self, "_normals", _sparse_normals(self.halfspaces))
 
     @classmethod
     def from_dict(cls, spec: dict) -> "CurriculumRegion":
@@ -190,7 +204,7 @@ class CurriculumRegion:
             if not isinstance(items, list):
                 raise BadParam("intersection 'halfspaces' must be a list")
             return cls("intersection", tuple(_halfspace_from_dict(item) for item in items))
-        return cls("groups", partition=tuple(tuple(b) for b in spec.get("partition", [])))
+        return cls("groups", partition=spec.get("partition", []))
 
     def to_dict(self) -> dict:
         if self.kind == "none":
@@ -243,30 +257,25 @@ class CurriculumRegion:
         labels[np.concatenate(blocks)] = np.repeat(np.arange(len(blocks)), counts)
         return labels, counts
 
-    @cached_property
-    def _normals(self):
-        """The nonzero entries of all normals as (rows, cols, vals), and n."""
-        if len({h.k.size for h in self.halfspaces}) > 1:
-            raise BadParam("halfspace normals differ in dimension")
-        cols = [np.flatnonzero(h.k) for h in self.halfspaces]
-        rows = np.repeat(np.arange(len(cols)), [c.size for c in cols])
-        vals = np.concatenate([h.k[c] for h, c in zip(self.halfspaces, cols)])
-        return rows, np.concatenate(cols), vals, self.halfspaces[0].k.size
-
     @property
     def dim(self) -> int:
         """The number of weights the halfspaces constrain."""
-        return self._normals[3]
+        return self._normals[5]
 
     def normal_dots(self, v: np.ndarray) -> np.ndarray:
         """<k_j, v> for every halfspace j, in time linear in the nonzeros."""
-        rows, cols, vals, _ = self._normals
+        rows, cols, vals = self._normals[:3]
         return np.bincount(rows, weights=vals * v[cols], minlength=len(self.halfspaces))
 
     def normal_mix(self, mu: np.ndarray) -> np.ndarray:
         """sum_j mu_j k_j, in time linear in the nonzeros."""
-        rows, cols, vals, n = self._normals
+        rows, cols, vals, _, _, n = self._normals
         return np.bincount(cols, weights=vals * mu[rows], minlength=n)
+
+    def normal(self, j: int):
+        """(support, values, norm) of halfspace j's normal: its nonzero entries."""
+        _, cols, vals, starts, norms, _ = self._normals
+        return cols[starts[j]:starts[j + 1]], vals[starts[j]:starts[j + 1]], float(norms[j])
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -274,18 +283,9 @@ class CurriculumRegion:
         return np.array([h.b for h in self.halfspaces])
 
     @cached_property
-    def _supports(self):
-        """Per halfspace, the indices where its normal is nonzero and the normal's norm.
-
-        Only the multiplier search reads these, so an order forest never keeps
-        one index array per ordering.
-        """
-        return tuple((np.flatnonzero(h.k), float(np.linalg.norm(h.k))) for h in self.halfspaces)
-
-    @cached_property
     def caps(self) -> np.ndarray:
         """The largest <k, v> over the box [0, 1]^n, per halfspace."""
-        rows, _, vals, _ = self._normals
+        rows, _, vals = self._normals[:3]
         return np.bincount(rows, weights=np.maximum(vals, 0.0), minlength=len(self.halfspaces))
 
     @cached_property
@@ -295,8 +295,22 @@ class CurriculumRegion:
 
     @cached_property
     def forest(self):
-        """_order_forest of the halfspaces; None when there are none."""
-        return _order_forest(self.halfspaces) if self.halfspaces else None
+        """The order forest (_order_forest) when every halfspace is an ordering
+        v_i >= v_j: b = 0 and a normal with two entries of equal size and
+        opposite sign, the positive one at i.  None otherwise or without any."""
+        if not self.halfspaces or np.any(self.offsets != 0):
+            return None
+        _, cols, vals, starts, _, _ = self._normals
+        if np.any(np.diff(starts) != 2):
+            return None
+        first, second = vals[0::2], vals[1::2]
+        if not np.all(np.abs(first + second) <= 1e-12 * np.maximum(abs(first), abs(second))):
+            return None
+        up = first > 0
+        return _order_forest(
+            np.where(up, cols[0::2], cols[1::2]).tolist(),
+            np.where(up, cols[1::2], cols[0::2]).tolist(),
+        )
 
 
 # ==== loss-side extensions ====================================================
@@ -357,13 +371,14 @@ def support_balance(
 
     Returns the balance, which maps an array of betas to an array of
     balances, and the batch width for it.  The balance is nondecreasing in
-    beta and only reads the support of k (np.flatnonzero(k), computed here
-    unless given), so each call costs one weight_extended lookup of
-    (betas x support) values.
+    beta and only reads the support of k, so each call costs one
+    weight_extended lookup of (betas x support) values.  k is the dense
+    normal, or, when its support is given, the normal's entries there.
     """
     if support is None:
         support = np.flatnonzero(k)
-    ls, ks = l[support], k[support]
+        k = k[support]
+    ls, ks = l[support], k
 
     def balance(betas):
         shifted = ls - np.multiply.outer(np.asarray(betas, dtype=float), ks)
@@ -521,11 +536,10 @@ def _halfspace_multiplier(reg, lam, l, region, j, atol=1e-10, rtol=0.0, start=No
     ||l|| / ||k||, at least 1.  See balance_root for the tolerances, `start`
     and NoRoot.
     """
-    h = region.halfspaces[j]
-    support, norm = region._supports[j]
-    balance, width = support_balance(reg, lam, l, h.k, support)
+    support, vals, norm = region.normal(j)
+    balance, width = support_balance(reg, lam, l, vals, support)
     hi = max(1.0, float(np.linalg.norm(l)) / norm)
-    return balance_root(balance, h.b, hi, width, atol, rtol, start=start)
+    return balance_root(balance, region.offsets[j], hi, width, atol, rtol, start=start)
 
 
 # ==== the v-step ==============================================================
@@ -574,23 +588,22 @@ def _pooled_weights(reg, lam, sums, counts, parent):
 
 
 def _dual_single_halfspace(reg, lam, l, v0, region):
-    """The v-step under one halfspace, from the unconstrained weights v0."""
+    """The v-step under one halfspace that the unconstrained weights v0 miss."""
     h = region.halfspaces[0]
     if abs(h.b - region.caps[0]) <= 1e-12:
         # b is the box maximum of <k, v>: every coordinate the normal reads is forced
-        return np.where(h.k > 0, 1.0, np.where(h.k < 0, 0.0, v0))
+        support, vals, _ = region.normal(0)
+        v0[support] = vals > 0
+        return v0
     memory = region._multipliers
-    beta, v = 0.0, v0
-    if not float(v0 @ h.k) >= h.b - 1e-12:  # the free weights miss the halfspace
-        start = None if memory is None else memory[0]
-        try:
-            beta = _halfspace_multiplier(reg, lam, l, region, 0, start=start)
-        except NoRoot as exc:
-            raise InfeasibleCurriculum(str(exc)) from None
-        v = weight_extended(reg, lam, l - beta * h.k)
+    start = None if memory is None else memory[0]
+    try:
+        beta = _halfspace_multiplier(reg, lam, l, region, 0, start=start)
+    except NoRoot as exc:
+        raise InfeasibleCurriculum(str(exc)) from None
     if memory is not None:
         memory[0] = beta
-    return v
+    return weight_extended(reg, lam, l - beta * h.k)
 
 
 def _dual_intersection(reg, lam, l, region):
@@ -633,41 +646,22 @@ def v_step(
 ) -> np.ndarray:
     """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
 
-    Routing: no region -> elementwise weights; groups, and pairwise orderings
-    that form a forest -> the weights of the pooled mean losses
-    (_pooled_weights: a group is one node of its size, an ordered sample one
-    of size one); other halfspaces -> dual multiplier search (a safeguarded
-    secant search per constraint, started from the region's last multipliers
-    when it is a warm_copy), which requires a strictly convex penalty and so
-    refuses the binary-weight penalty.  Free weights that meet every
-    halfspace are returned as they are.  Every route takes its weights from
-    reg.weight, which clips them into [0, 1], or sets them to exactly 0 or 1.
+    The route follows what the region holds, not its kind: nothing ->
+    elementwise weights; a partition, or pairwise orderings that form a
+    forest -> the weights of the pooled mean losses (_pooled_weights: a group
+    is one node of its size, an ordered sample one of size one); one other
+    halfspace -> its dual multiplier search, several -> dual coordinate
+    ascent over theirs (a safeguarded secant search per constraint, started
+    from the region's last multipliers when it is a warm_copy).  The dual
+    routes require a strictly convex penalty and so refuse the binary-weight
+    penalty.  Free weights that meet every halfspace are returned as they
+    are.  Every route takes its weights from reg.weight, which clips them
+    into [0, 1], or sets them to exactly 0 or 1.
     """
     l = np.asarray(l, dtype=float)
-    if region is None or region.kind == "none":
+    if region is None or not (region.halfspaces or region.partition):
         return reg.weight(lam, l)  # which rejects negative losses
-
-    v0 = None
-    if region.halfspaces:
-        v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
-        if region.dim != l.size:
-            raise BadParam(
-                f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
-            )
-        if region.unreachable.size:
-            j = region.unreachable[0]
-            raise InfeasibleCurriculum(
-                f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
-                f"(maximum attainable is {region.caps[j]})"
-            )
-        if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
-            return v0
-
-    if region.kind == "groups" or region.forest is not None:
-        if v0 is not None:  # an order forest: samples outside it keep their free weights
-            order, parent = region.forest
-            v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
-            return v0
+    if region.partition:
         if l.size and l.min() < 0:  # a block mean could hide a negative loss
             raise BadParam("losses must be nonnegative")
         labels, counts = region.group_labels
@@ -677,13 +671,29 @@ def v_step(
             )
         sums = np.bincount(labels, weights=l, minlength=counts.size)
         return _pooled_weights(reg, lam, sums, counts, ())[labels]
-
+    v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
+    if region.dim != l.size:
+        raise BadParam(
+            f"halfspace normals have {region.dim} entries, but there are {l.size} losses"
+        )
+    if region.unreachable.size:
+        j = region.unreachable[0]
+        raise InfeasibleCurriculum(
+            f"halfspace <k, v> >= {region.offsets[j]} cannot be met by weights in [0, 1]^n "
+            f"(maximum attainable is {region.caps[j]})"
+        )
+    if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
+        return v0
+    if region.forest is not None:  # samples outside the forest keep their free weights
+        order, parent = region.forest
+        v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
+        return v0
     if reg.name == "hard":
         raise UnsupportedRegularizer(
             "binary-weight penalty supports only groups and pairwise-order forests "
             "among curriculum regions"
         )
-    if region.kind == "halfspace":
+    if len(region.halfspaces) == 1:
         return _dual_single_halfspace(reg, lam, l, v0, region)
     return _dual_intersection(reg, lam, l, region)
 

@@ -77,21 +77,13 @@ def make_regression(
 def _train_config(suite: SuiteConfig, reg_name: str, clean: bool) -> TrainConfig:
     """Per-regularizer config; the clean case grows the age until weights
     are essentially full so the fit coincides with ridge."""
-    if clean:
-        return TrainConfig(
-            regularizer=reg_name,
-            schedule="median",
-            growth=suite.growth,
-            stages=200,
-            ridge=suite.ridge,
-            full_weight_threshold=1.0 - 1e-9 if reg_name != "hard" else 0.99,
-        )
     return TrainConfig(
         regularizer=reg_name,
         schedule="median",
         growth=suite.growth,
-        stages=suite.stages,
+        stages=200 if clean else suite.stages,
         ridge=suite.ridge,
+        full_weight_threshold=1.0 - 1e-9 if clean else TrainConfig.full_weight_threshold,
     )
 
 

@@ -55,7 +55,6 @@ class GridSpec:
     """Dense evaluation grid: one (lo, hi, count) triple per axis."""
 
     axes: tuple
-    tolerance: float = 0.0
 
     def __post_init__(self):
         for ax in self.axes:

@@ -335,22 +335,20 @@ def _weighted_logistic(
 # ==== age schedules ===========================================================
 
 
-def weight_support_radius(
-    reg: SPRegularizer, threshold: float = WEIGHT_EPS, cap: float = 1e12
-) -> float:
-    """The base-scale loss beyond which the weight drops to `threshold` or less."""
+def weight_support_radius(reg: SPRegularizer) -> float:
+    """The base-scale loss beyond which the weight drops to WEIGHT_EPS or less, at most 1e12."""
     w0 = float(reg.weight_base(np.array(0.0)))
-    if w0 <= threshold:
+    if w0 <= WEIGHT_EPS:
         return 0.0
     hi = 1.0
-    while float(reg.weight_base(np.array(hi))) > threshold:
+    while float(reg.weight_base(np.array(hi))) > WEIGHT_EPS:
         hi *= 2.0
-        if hi > cap:
-            return cap
+        if hi > 1e12:
+            return 1e12
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if float(reg.weight_base(np.array(mid))) > threshold:
+        if float(reg.weight_base(np.array(mid))) > WEIGHT_EPS:
             lo = mid
         else:
             hi = mid

@@ -233,6 +233,38 @@ def test_curriculum_malformed_halfspace_entry_exits_two(tmp_path, capsys, kind, 
     assert "curriculum setup failed: bad halfspace spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition", [3, [[0, "a"]], [[0, 1.5]]])
+def test_curriculum_malformed_partition_exits_two(tmp_path, capsys, partition):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"region": {"kind": "groups", "partition": partition}}))
+    code = main(["curriculum", "--config", str(config), "--grid", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "curriculum setup failed: partition must be" in capsys.readouterr().err
+
+
+def test_curriculum_one_halfspace_intersection_writes_the_halfspace_lattice(tmp_path):
+    config = tmp_path / "config.json"
+    region = {"kind": "intersection", "halfspaces": [{"k": [1, -1], "b": 0}]}
+    config.write_text(json.dumps({"region": region}))
+    code = main(["curriculum", "--config", str(config), "--grid", "11",
+                 "--out", str(tmp_path / "one")])
+    assert code == 0
+    code = main(["curriculum", "--k", "1,-1", "--b", "0", "--grid", "11",
+                 "--out", str(tmp_path / "halfspace")])
+    assert code == 0
+    lattice = (tmp_path / "halfspace" / "lattice.csv").read_bytes()
+    assert (tmp_path / "one" / "lattice.csv").read_bytes() == lattice
+
+
+def test_curriculum_rejects_two_halfspaces(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    hs = [{"k": [1, -1], "b": 0}, {"k": [1, 0], "b": 0.5}]
+    config.write_text(json.dumps({"region": {"kind": "intersection", "halfspaces": hs}}))
+    code = main(["curriculum", "--config", str(config), "--grid", "5", "--out", str(tmp_path)])
+    assert code == 1
+    assert "at most one halfspace" in capsys.readouterr().err
+
+
 # ==== fit =====================================================================
 
 
@@ -247,6 +279,22 @@ def test_fit_hard_drops_exactly_the_planted_outliers(tmp_path):
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "iter,lambda,spl_objective,latent_objective"
     assert len(trace) == 1 + result["iterations"]
+
+
+def test_fit_one_halfspace_intersection_matches_the_halfspace_fit(tmp_path):
+    # log's tiny start age stalls coordinate ascent on this halfspace
+    h = {"k": [1.0 if i < 10 else 0.0 for i in range(40)], "b": 9.0}
+    results = []
+    for name, region in (("halfspace", {"kind": "halfspace", **h}),
+                         ("one", {"kind": "intersection", "halfspaces": [h]})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"region": region}))
+        code = main(["fit", "--config", str(config), "--dataset", DATASET,
+                     "--regularizer", "log", "--out", str(tmp_path / name)])
+        assert code == 0
+        results.append(json.loads((tmp_path / name / "result.json").read_text()))
+    assert results[0]["w"] == results[1]["w"]
+    assert results[0]["v"] == results[1]["v"]
 
 
 def test_fit_portion_schedule_ages_are_nondecreasing(tmp_path):

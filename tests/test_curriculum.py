@@ -105,6 +105,41 @@ def test_feasible_mask():
     assert region.feasible_mask(v).tolist() == [True, False]
 
 
+@pytest.mark.parametrize("partition", [3, [3], [[0, "a"]], [[0, 1.5]], [[0, None]]])
+def test_region_rejects_a_partition_that_is_not_blocks_of_integers(partition):
+    with pytest.raises(BadPartition, match="blocks of integer indices"):
+        CurriculumRegion.from_dict({"kind": "groups", "partition": partition})
+    with pytest.raises(BadPartition, match="blocks of integer indices"):
+        CurriculumRegion("groups", partition=partition)
+
+
+def test_region_keeps_integer_partition_entries_as_ints():
+    region = CurriculumRegion("groups", partition=[np.array([0, 2]), [np.int64(1)]])
+    assert region.partition == ((0, 2), (1,))
+    assert all(type(i) is int for block in region.partition for i in block)
+
+
+def test_region_rejects_content_its_kind_does_not_hold():
+    h = Halfspace(np.array([1.0, -1.0, 0.0]), 0.0)
+    with pytest.raises(BadParam, match="groups region holds no halfspaces"):
+        CurriculumRegion("groups", halfspaces=(h,), partition=((0, 1), (2,)))
+    with pytest.raises(BadParam, match="none region holds no halfspaces"):
+        CurriculumRegion("none", (h,))
+    with pytest.raises(BadParam, match="none region holds no partition"):
+        CurriculumRegion("none", partition=((0, 1), (2,)))
+    for kind in ("halfspace", "intersection"):
+        with pytest.raises(BadParam, match=f"{kind} region holds no partition"):
+            CurriculumRegion(kind, (h,), partition=((0, 1), (2,)))
+
+
+def test_region_checks_normals_when_it_is_built():
+    with pytest.raises(BadParam, match="differ in dimension"):
+        CurriculumRegion(
+            "intersection",
+            (Halfspace(np.array([1.0, 0.0]), 0.0), Halfspace(np.array([1.0, 0.0, 1.0]), 0.0)),
+        )
+
+
 def test_check_partition_rejects_overlap_and_out_of_range():
     with pytest.raises(BadPartition):
         check_partition(((0, 1), (1, 2)), 3)

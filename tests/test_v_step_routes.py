@@ -285,6 +285,21 @@ def test_order_forest_lists_parents_first():
     assert offset.forest is None
 
 
+def test_order_forest_reads_orderings_of_any_scale_and_side():
+    k = np.zeros(4)
+    k[[0, 3]] = (-2.5, 2.5)  # v_3 >= v_0, its positive entry second
+    below = order_region(4, [(0, 1)]).halfspaces  # v_0 >= v_1
+    region = CurriculumRegion("intersection", (Halfspace(k, 0.0), *below))
+    order, parent = region.forest
+    assert order.tolist() == [3, 0, 1]
+    assert parent == [-1, 0, 1]
+    uneven = k.copy()
+    uneven[0] = -2.5 * (1.0 + 1e-9)  # not of equal size: a general halfspace
+    assert CurriculumRegion("halfspace", (Halfspace(uneven, 0.0),)).forest is None
+    three = np.array([1.0, -1.0, 1.0, 0.0])
+    assert CurriculumRegion("halfspace", (Halfspace(three, 0.0),)).forest is None
+
+
 @pytest.mark.parametrize("reg", catalog(), ids=lambda r: r.name)
 def test_forest_v_step_is_the_grid_minimum_at_n_3(reg):
     rng = np.random.default_rng(61)
@@ -399,6 +414,34 @@ def test_intersection_v_step_matches_scalar_bisection(reg):
         for h in hs:
             assert float(got @ h.k) >= h.b - 1e-9
         assert np.allclose(got, intersection_reference(reg, 1.0, l, hs), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_one_halfspace_takes_the_single_route_under_either_label(reg, monkeypatch):
+    def fail(*args):
+        raise AssertionError("coordinate ascent ran on one halfspace")
+
+    monkeypatch.setattr(curriculum, "_dual_intersection", fail)
+    rng = np.random.default_rng(45)
+    for trial in range(3):
+        l = rng.exponential(2.0, size=60)
+        h = trusted_halfspace(rng, 60, 0.9, 10 + 10 * trial)
+        single = v_step(l, 1.0, reg, CurriculumRegion("halfspace", (h,)))
+        got = v_step(l, 1.0, reg, CurriculumRegion("intersection", (h,)))
+        assert got.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_log_fits_under_a_one_halfspace_intersection(seed):
+    ds, _, _ = make_regression(n=40, seed=seed)
+    k = np.zeros(ds.n)
+    k[:10] = 1.0
+    h = Halfspace(k, 9.0)
+    regions = [CurriculumRegion(kind, (h,)) for kind in ("halfspace", "intersection")]
+    fits = [spl_fit(ds, TrainConfig(regularizer="log", region=region)) for region in regions]
+    assert fits[0].w.tobytes() == fits[1].w.tobytes()
+    assert fits[0].v.tobytes() == fits[1].v.tobytes()
+    assert float(fits[1].v @ k) >= 9.0 - 1e-9
 
 
 def test_penalized_halfspace_v_step_looks_up_the_free_weights_once(monkeypatch):
