@@ -192,23 +192,21 @@ def _ensure_out(out_dir: str) -> str:
 
 
 def _build_regularizer(merged: dict):
-    """Resolve a regularizer from 'regularizer' or a pipeline spec."""
+    """Resolve a regularizer from 'regularizer' or a pipeline spec; BadParam is an input error."""
     pipeline = merged.get("pipeline")
-    if pipeline is None:
-        name = merged.get("regularizer") or "hard"
-        try:
-            return get_regularizer(name)
-        except BadParam as exc:  # a bad name is an input problem, not a math one
-            raise _InputError(str(exc)) from None
-    if pipeline not in ("from-weight", "from-regularizer"):
+    if pipeline not in (None, "from-weight", "from-regularizer"):
         raise _InputError(f"unknown pipeline {pipeline!r}")
-    source = merged.get("input")
-    if not source:
+    if pipeline is not None and not merged.get("input"):
         raise _InputError("pipeline requires --input (a named function or .csv path)")
-    fn = _input_callable(pipeline, source)
-    if pipeline == "from-weight":
-        return design_from_weight(fn, l_max=merged["l_max"], n=merged["grid_points"])
-    return design_from_regularizer(fn, n=merged["grid_points"])
+    try:
+        if pipeline is None:
+            return get_regularizer(merged.get("regularizer"))
+        fn = _input_callable(pipeline, merged["input"])
+        if pipeline == "from-weight":
+            return design_from_weight(fn, l_max=merged["l_max"], n=merged["grid_points"])
+        return design_from_regularizer(fn, n=merged["grid_points"])
+    except BadParam as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _validated_regularizer(merged: dict, out: str, errored: str, table_args=None):
@@ -253,8 +251,8 @@ _DERIVE_DEFAULTS = {
 
 def cmd_derive(args) -> int:
     merged = _settings(args, _DERIVE_DEFAULTS, "derive")
-    if merged["lam"] <= 0:
-        raise _InputError("--lambda must be positive")
+    if not 0 < merged["lam"] < math.inf:
+        raise _InputError("--lambda must be finite and positive")
     out = _ensure_out(args.out)
     table_args = {"lam": merged["lam"], "n": merged["table_points"], "span": merged["span"]}
     reg = _validated_regularizer(merged, out, "derivation failed", table_args)
@@ -296,8 +294,10 @@ _CURRICULUM_DEFAULTS = {
 
 def cmd_curriculum(args) -> int:
     merged = _settings(args, _CURRICULUM_DEFAULTS, "curriculum")
-    if merged["lam"] <= 0:
-        raise _InputError("--lambda must be positive")
+    if not 0 < merged["lam"] < math.inf:
+        raise _InputError("--lambda must be finite and positive")
+    if not 0 <= merged["span"] < math.inf:
+        raise _InputError("--span must be finite and nonnegative")
     if merged["grid"] < 2:
         raise _InputError("--grid must be at least 2")
     out = _ensure_out(args.out)

@@ -60,19 +60,19 @@ def loss_grid(lam: float = 1.0, n: int = 2049, span: float = 8.0) -> np.ndarray:
     return np.linspace(0.0, span * lam, n)
 
 
-def graded_unit_grid(n: int = 2049, cut: float = 0.05, lo: float = 1e-9) -> np.ndarray:
+def graded_unit_grid(n: int = 2049) -> np.ndarray:
     """Grid on [0, 1] refined geometrically near 0.
 
-    One point at 0, about n/4 points in geometric progression on [lo, cut),
-    and the rest uniform on [cut, 1].  Penalties whose conjugate argmin decays
+    One point at 0, about n/4 points in geometric progression on [1e-9, 0.05),
+    and the rest uniform on [0.05, 1].  Penalties whose conjugate argmin decays
     exponentially toward v = 0 (entropy-like penalties at large losses) need
     the sub-uniform resolution near the origin; a uniform grid of the same
     size cannot place a point within ~1e-4 of such an argmin.
     """
     n_log = n // 4
     n_uni = n - n_log - 1
-    log_part = np.geomspace(lo, cut, n_log, endpoint=False)
-    uni_part = np.linspace(cut, 1.0, n_uni)
+    log_part = np.geomspace(1e-9, 0.05, n_log, endpoint=False)
+    uni_part = np.linspace(0.05, 1.0, n_uni)
     return np.concatenate(([0.0], log_part, uni_part))
 
 
@@ -430,7 +430,7 @@ class Halfspace:
         return v @ self.k >= self.b - tol
 
 
-def support_function(h: Halfspace, l, rel_tol: float = 1e-9) -> float:
+def support_function(h: Halfspace, l) -> float:
     """inf of <v, l> over the halfspace { v : <v, k> >= b }.
 
     Finite only when l is a nonnegative multiple of k, in which case the
@@ -443,6 +443,6 @@ def support_function(h: Halfspace, l, rel_tol: float = 1e-9) -> float:
     beta = float(l @ h.k) / float(h.k @ h.k)
     resid = l - beta * h.k
     scale = max(1.0, float(np.linalg.norm(l)))
-    if np.linalg.norm(resid) <= rel_tol * scale and beta >= -rel_tol:
+    if np.linalg.norm(resid) <= 1e-9 * scale and beta >= -1e-9:
         return max(beta, 0.0) * h.b
     return NEG_INFINITY

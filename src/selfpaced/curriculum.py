@@ -219,12 +219,12 @@ class CurriculumRegion:
             }
         return {"kind": "groups", "partition": [list(b) for b in self.partition]}
 
-    def feasible_mask(self, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Feasibility of each row of v (..., n) under the halfspace constraints."""
+    def feasible_mask(self, v: np.ndarray) -> np.ndarray:
+        """Feasibility of each row of v (..., n) under the halfspace constraints, to 1e-9."""
         v = np.asarray(v, dtype=float)
         mask = np.ones(v.shape[:-1], dtype=bool)
         for h in self.halfspaces:
-            mask &= v @ h.k >= h.b - tol
+            mask &= v @ h.k >= h.b - 1e-9
         return mask
 
     def warm_copy(self) -> "CurriculumRegion":

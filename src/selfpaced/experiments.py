@@ -9,12 +9,12 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParam
-from .regularizers import get_regularizer
 from .training import Dataset, TrainConfig, spl_fit, w_step
 
 
@@ -38,14 +38,14 @@ class SuiteConfig:
             raise BadParam("suite needs n >= 2 samples and d >= 1 features")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise BadParam("outlier fraction must lie in [0, 1)")
-        if self.noise < 0 or self.outlier_scale < 0:
-            raise BadParam("noise and outlier scale must be nonnegative")
+        if not (0 <= self.noise < math.inf and 0 <= self.outlier_scale < math.inf):
+            raise BadParam("noise and outlier scale must be finite and nonnegative")
         if len(self.seeds) == 0:
             raise BadParam("need at least one seed")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "regularizers", tuple(self.regularizers))
         for name in self.regularizers:
-            get_regularizer(name)  # BadParam unless a catalog name
+            _train_config(self, name, clean=False)  # BadParam on a bad name, growth, ridge, stages
 
 
 def make_regression(

@@ -372,7 +372,6 @@ def latent_descent_fit(
     config: TrainConfig,
     lam: float | None = None,
     w0: np.ndarray | None = None,
-    max_iter: int | None = None,
 ) -> TrainState:
     """Gradient descent on G(w) = sum_i latent(lam, l_i(w)) + ridge * ||w||^2.
 
@@ -381,7 +380,7 @@ def latent_descent_fit(
     active); at kinks of the binary-weight penalty the tie-break weight of
     the weight map is used as the descent direction.  Armijo backtracking
     guarantees monotone objective decrease; stops when the gradient norm
-    reaches grad_tol.
+    reaches grad_tol, within 50 * max_inner iterations.
     """
     reg = get_regularizer(config.regularizer)
     alpha = config.ridge
@@ -389,7 +388,6 @@ def latent_descent_fit(
         if config.lam is None:
             raise BadParam("latent_descent_fit needs an age: set lam or config.lam")
         lam = float(config.lam)
-    cap = max_iter if max_iter is not None else 50 * config.max_inner
 
     w = (
         np.asarray(w0, dtype=float).copy()
@@ -405,7 +403,7 @@ def latent_descent_fit(
     val, l, v = G(w)
     state = TrainState(w=w, v=v, lam=float(lam), losses=l)
     converged = False
-    for _ in range(cap):
+    for _ in range(50 * config.max_inner):
         g = _latent_gradient(w, v, dataset, config)
         gnorm = float(np.linalg.norm(g))
         state.record(lam, val + dataset.n * lam * reg.r_base_min, val, v)

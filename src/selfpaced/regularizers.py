@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import (
 )
 
 LOG_V_MIN = 1e-12  # clip for penalties singular at v = 0
+WEIGHT_EPS = 1e-6  # a weight above this counts as "positive" for schedules
 
 _DEFAULT_GRID_N = 2049
 _AGE_LATTICE = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -122,11 +124,11 @@ def _loss_array(l) -> tuple:
     return la, scalar
 
 
-def _secant_drop_excess(xs: np.ndarray, ys: np.ndarray, rel_tol: float = 1e-7):
+def _secant_drop_excess(xs: np.ndarray, ys: np.ndarray):
     """How much consecutive secant slopes decrease beyond float noise.
 
     Returns (worst_excess, x_at_worst).  The tolerance combines a relative
-    term with the cancellation noise of differencing nearly equal values
+    term (1e-7) with the cancellation noise of differencing nearly equal values
     over tiny cells, so legitimately convex penalties sampled on graded
     grids (cells down to ~1e-10) are not flagged.
     """
@@ -137,7 +139,7 @@ def _secant_drop_excess(xs: np.ndarray, ys: np.ndarray, rel_tol: float = 1e-7):
     drop = slopes[:-1] - slopes[1:]
     y_scale = float(np.max(np.abs(ys), initial=1.0))
     noise = 4.0 * np.finfo(float).eps * max(1.0, y_scale) * (1.0 / dx[:-1] + 1.0 / dx[1:])
-    tol = rel_tol * np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))) + noise
+    tol = 1e-7 * np.maximum(1.0, np.maximum(np.abs(slopes[:-1]), np.abs(slopes[1:]))) + noise
     excess = drop - tol
     at = int(np.argmax(excess))
     return float(max(excess[at], 0.0)), float(xs[1 + at])
@@ -160,7 +162,6 @@ class SPRegularizer:
     r_sp_base: Callable = field(repr=False)
     weight_base: Callable = field(repr=False)
     latent_base: Callable = field(repr=False)
-    domain: tuple = (0.0, 1.0)
     r_base_min: float | None = None
 
     def __post_init__(self):
@@ -171,6 +172,25 @@ class SPRegularizer:
             if finite.size == 0:
                 raise BadDomain(f"{self.name}: penalty has no finite value on [0, 1]")
             object.__setattr__(self, "r_base_min", float(finite.min()))
+
+    @cached_property
+    def support_radius(self) -> float:
+        """Base-scale loss where the weight falls to WEIGHT_EPS (at most 1e12), bisected once."""
+        if float(self.weight_base(np.array(0.0))) <= WEIGHT_EPS:
+            return 0.0
+        hi = 1.0
+        while float(self.weight_base(np.array(hi))) > WEIGHT_EPS:
+            hi *= 2.0
+            if hi > 1e12:
+                return 1e12
+        lo = hi / 2.0 if hi > 1.0 else 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if float(self.weight_base(np.array(mid))) > WEIGHT_EPS:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     # -- scaled views -----------------------------------------------------------
 
@@ -266,20 +286,23 @@ def _exp_f(l):
     return -np.expm1(-np.asarray(l, dtype=float))
 
 
+_CATALOG = (
+    SPRegularizer("hard", _hard_r, _hard_w, _hard_f, r_base_min=-1.0),
+    SPRegularizer("linear", _linear_r, _linear_w, _linear_f, r_base_min=0.0),
+    SPRegularizer("log", _log_r, _log_w, _log_f, r_base_min=0.0),
+    SPRegularizer("exp", _exp_r, _exp_w, _exp_f, r_base_min=0.0),
+)
+
+
 def catalog() -> list[SPRegularizer]:
-    """The four built-in regularizers.
+    """The four built-in regularizers, built once and shared by every caller.
 
     hard    penalty -v: binary weights, 1 below age, 0 at and above it
     linear  penalty (1-v)^2/2: weights decay linearly to 0 at the age
     log     penalty -log(v) on (0, 1]: weights min(1, lam/l)
     exp     penalty v log(v) - v + 1 on (0, 1]: weights exp(-l/lam)
     """
-    return [
-        SPRegularizer("hard", _hard_r, _hard_w, _hard_f, r_base_min=-1.0),
-        SPRegularizer("linear", _linear_r, _linear_w, _linear_f, r_base_min=0.0),
-        SPRegularizer("log", _log_r, _log_w, _log_f, r_base_min=0.0),
-        SPRegularizer("exp", _exp_r, _exp_w, _exp_f, r_base_min=0.0),
-    ]
+    return list(_CATALOG)
 
 
 def get_regularizer(name: str) -> SPRegularizer:
@@ -289,7 +312,7 @@ def get_regularizer(name: str) -> SPRegularizer:
             "regularizer must be a catalog name (hard/linear/log/exp), "
             f"got a {type(name).__name__}"
         )
-    for reg in catalog():
+    for reg in _CATALOG:
         if reg.name == name.lower():
             return reg
     raise BadParam(f"unknown regularizer {name!r}; choose from hard/linear/log/exp")
@@ -298,12 +321,7 @@ def get_regularizer(name: str) -> SPRegularizer:
 # ==== design pipeline: weight -> latent -> penalty ============================
 
 
-def design_from_weight(
-    w: Callable,
-    l_max: float = 8.0,
-    n: int = _DEFAULT_GRID_N,
-    name: str = "designed-from-weight",
-) -> SPRegularizer:
+def design_from_weight(w: Callable, l_max: float = 8.0, n: int = _DEFAULT_GRID_N) -> SPRegularizer:
     """Build a regularizer from a monotone weight curve w(l) on [0, l_max].
 
     The latent function is the running trapezoid integral of w, a
@@ -316,10 +334,15 @@ def design_from_weight(
     knot per cell at v = (cell slope), value latent_k - v * l_k, convex by
     construction.
 
-    Raises NotMonotone if w increases anywhere on the grid and BadLimits if
-    w(0) is not within 1e-3 of 1.  A tail value w(l_max) above 1e-3 only
-    emits a WeightTail warning.
+    Raises BadParam for fewer than 3 grid points or an l_max that is not
+    finite and positive, NotMonotone if w increases anywhere on the grid and
+    BadLimits if w(0) is not within 1e-3 of 1.  A tail value w(l_max) above
+    1e-3 only emits a WeightTail warning.
     """
+    if n < 3:
+        raise BadParam(f"design grid needs at least 3 points, got {n}")
+    if not 0 < l_max < math.inf:
+        raise BadParam(f"l_max must be finite and positive, got {l_max}")
     wv_fn = _as_vectorized(w)
     grid = np.linspace(0.0, l_max, n)
     wv = np.asarray(wv_fn(grid), dtype=float)
@@ -372,7 +395,7 @@ def design_from_weight(
         return np.where((va < 0) | (va > 1), np.inf, inside)
 
     return SPRegularizer(
-        name,
+        "designed-from-weight",
         r_base,
         weight_base,
         latent_base,
@@ -383,9 +406,7 @@ def design_from_weight(
 # ==== design pipeline: penalty -> weight -> latent ============================
 
 
-def design_from_regularizer(
-    r: Callable, n: int = _DEFAULT_GRID_N, name: str = "designed-from-penalty"
-) -> SPRegularizer:
+def design_from_regularizer(r: Callable, n: int = _DEFAULT_GRID_N) -> SPRegularizer:
     """Build a regularizer from a convex penalty r(v) with domain in [0, 1].
 
     The loss map l(v) is the (set-valued, non-increasing) derivative of -r,
@@ -396,9 +417,12 @@ def design_from_regularizer(
     latent function follows from the identity
     latent(l) = weight(l) * l + r(weight(l)), shifted to 0 at l = 0.
 
-    Raises NotConvex when the secant slopes of r decrease, and BadDomain
-    when the finite domain does not reach both 0 and 1 (within 1e-3).
+    Raises BadParam for fewer than 3 grid points, NotConvex when the secant
+    slopes of r decrease, and BadDomain when the finite domain does not
+    reach both 0 and 1 (within 1e-3).
     """
+    if n < 3:
+        raise BadParam(f"design grid needs at least 3 points, got {n}")
     vgrid = graded_unit_grid(n)
     rv = _sample_or_inf(r, vgrid)
     finite = np.isfinite(rv)
@@ -462,11 +486,10 @@ def design_from_regularizer(
         return np.where((va < v_lo - 1e-12) | (va > v_hi + 1e-12), np.inf, r_eval(va))
 
     return SPRegularizer(
-        name,
+        "designed-from-penalty",
         r_base,
         weight_base,
         latent_base,
-        domain=(v_lo, v_hi),
         r_base_min=float(ys.min()),
     )
 

@@ -24,7 +24,6 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +33,6 @@ import numpy as np
 from .curriculum import CurriculumRegion, affine_action, v_step, weight_extended  # noqa: F401
 from .errors import BadFractions, BadLabels, BadParam, SingularSystem
 from .regularizers import SPRegularizer, get_regularizer
-
-WEIGHT_EPS = 1e-6  # a weight above this counts as "positive" for schedules
 
 
 # ==== dataset =================================================================
@@ -181,14 +178,14 @@ class TrainConfig:
             raise BadParam(f"unknown schedule {self.schedule!r}")
         if self.loss not in ("squared", "logistic"):
             raise BadParam(f"unknown loss {self.loss!r}")
-        if self.inner_tol <= 0 or self.grad_tol <= 0:
-            raise BadParam("tolerances must be positive")
-        if self.growth <= 1.0:
-            raise BadParam("growth factor must exceed 1")
+        if not (0 < self.inner_tol < math.inf and 0 < self.grad_tol < math.inf):
+            raise BadParam("tolerances must be finite and positive")
+        if not 1.0 < self.growth < math.inf:
+            raise BadParam("growth factor must be finite and exceed 1")
         if self.stages < 1 or self.max_inner < 1:
             raise BadParam("stages and max_inner must be at least 1")
-        if self.ridge < 0:
-            raise BadParam("ridge coefficient must be nonnegative")
+        if not 0 <= self.ridge < math.inf:
+            raise BadParam("ridge coefficient must be finite and nonnegative")
         if not 0 < self.full_weight_threshold <= 1:
             raise BadParam("full_weight_threshold must lie in (0, 1]")
         lam_ok = isinstance(self.lam, numbers.Real) and 0 < self.lam < math.inf
@@ -209,8 +206,6 @@ class TrainConfig:
         kwargs = dict(d)
         if "region" in kwargs and not isinstance(kwargs["region"], CurriculumRegion):
             kwargs["region"] = CurriculumRegion.from_dict(kwargs["region"])
-        if "fractions" in kwargs and kwargs["fractions"] is not None:
-            kwargs["fractions"] = tuple(kwargs["fractions"])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -294,9 +289,7 @@ def _weighted_ridge(v: np.ndarray, dataset: Dataset, alpha: float) -> np.ndarray
     return w
 
 
-def _weighted_logistic(
-    v: np.ndarray, dataset: Dataset, alpha: float, max_iter: int = 100
-) -> np.ndarray:
+def _weighted_logistic(v: np.ndarray, dataset: Dataset, alpha: float) -> np.ndarray:
     X, y = dataset.X, dataset.y
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise BadLabels("logistic loss requires labels in {-1, +1}")
@@ -306,7 +299,7 @@ def _weighted_logistic(
 
     w = np.zeros(dataset.d)
     obj = objective(w)
-    for _ in range(max_iter):
+    for _ in range(100):
         scores = X @ w
         sig = 1.0 / (1.0 + np.exp(y * scores))
         grad = X.T @ (v * (-y) * sig) + 2.0 * alpha * w
@@ -333,31 +326,6 @@ def _weighted_logistic(
 
 
 # ==== age schedules ===========================================================
-
-
-def weight_support_radius(reg: SPRegularizer) -> float:
-    """The base-scale loss beyond which the weight drops to WEIGHT_EPS or less, at most 1e12."""
-    w0 = float(reg.weight_base(np.array(0.0)))
-    if w0 <= WEIGHT_EPS:
-        return 0.0
-    hi = 1.0
-    while float(reg.weight_base(np.array(hi))) > WEIGHT_EPS:
-        hi *= 2.0
-        if hi > 1e12:
-            return 1e12
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(reg.weight_base(np.array(mid))) > WEIGHT_EPS:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@lru_cache(maxsize=64)
-def _cached_support_radius(reg: SPRegularizer) -> float:
-    return weight_support_radius(reg)
 
 
 def _midpoint_above(sorted_losses: np.ndarray, count: int) -> float:
@@ -390,25 +358,17 @@ def median_schedule(
 
     The first call picks the age so that the ceil(n/2) smallest losses get
     weight above 1e-6: the midpoint between the straddling order statistics,
-    divided by the regularizer's weight support radius.  The radius is
-    bisected once per distinct regularizer and cached (on every start when
-    the regularizer cannot be hashed).  Later calls multiply the previous
-    age by the growth factor.
+    divided by the regularizer's weight support radius `reg.support_radius`.
+    Later calls multiply the previous age by the growth factor.
     """
     if prev_lam is not None:
         return float(prev_lam) * float(growth)
     losses = np.sort(np.asarray(losses, dtype=float))
     m = math.ceil(losses.size / 2)
     level = _midpoint_above(losses, m)
-    try:
-        hash(reg)  # the cache compares by value: catalog() builds new but equal objects
-    except TypeError:
-        radius = weight_support_radius(reg)
-    else:
-        radius = _cached_support_radius(reg)
-    if radius <= 0:
+    if reg.support_radius <= 0:
         raise BadParam("regularizer weight vanishes everywhere; cannot set an age")
-    return level / radius
+    return level / reg.support_radius
 
 
 def portion_schedule(

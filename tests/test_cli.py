@@ -127,6 +127,19 @@ def test_validate_unknown_regularizer_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["derive", "--input", "exp-decay", "--grid-points", "1"],
+    ["derive", "--input", "exp-decay", "--grid-points", "0"],
+    ["validate", "--pipeline", "from-regularizer", "--input", "entropy", "--grid-points", "0"],
+    ["validate", "--pipeline", "from-regularizer", "--input", "entropy", "--grid-points", "2"],
+    ["derive", "--input", "exp-decay", "--l-max", "0"],
+    ["derive", "--input", "exp-decay", "--l-max", "nan"],
+])
+def test_design_grid_and_range_it_cannot_use_exit_one(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ==== curriculum ==============================================================
 
 
@@ -431,11 +444,29 @@ def test_compare_echoes_the_full_default_configuration(tmp_path):
 # ==== global behavior =========================================================
 
 
+@pytest.mark.parametrize("args", [
+    ["compare", "--seeds", "1", "--growth", "0.5"],
+    ["compare", "--seeds", "1", "--ridge", "-1"],
+    ["compare", "--seeds", "1", "--stages", "0"],
+    ["compare", "--seeds", "1", "--noise", "nan"],
+    ["fit", "--dataset", DATASET, "--growth", "nan"],
+    ["fit", "--dataset", DATASET, "--ridge", "inf"],
+    ["curriculum", "--lambda", "nan"],
+    ["curriculum", "--span", "inf"],
+    ["derive", "--input", "exp-decay", "--lambda", "nan"],
+])
+def test_out_of_range_number_flag_exits_one(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
 
 
-def test_unknown_regularizer_name_exits_one_everywhere(tmp_path):
+def test_unknown_regularizer_name_exits_one_everywhere(tmp_path, capsys):
+    assert main(["validate", "--regularizer", "", "--out", str(tmp_path / "v")]) == 1
+    assert "unknown regularizer ''" in capsys.readouterr().err
     assert main(["curriculum", "--regularizer", "mystery",
                  "--out", str(tmp_path / "c")]) == 1
     assert main(["fit", "--dataset", DATASET, "--regularizer", "mystery",

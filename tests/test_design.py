@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from selfpaced.errors import BadDomain, BadLimits, NotConvex, NotMonotone
+from selfpaced.errors import BadDomain, BadLimits, BadParam, NotConvex, NotMonotone
 from selfpaced.regularizers import (
     design_from_regularizer,
     design_from_weight,
@@ -93,6 +93,20 @@ def test_penalty_design_rejects_partial_domain():
 
     with pytest.raises(BadDomain):
         design_from_regularizer(half_dome)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_both_designs_need_three_grid_points(n):
+    with pytest.raises(BadParam, match="at least 3 points"):
+        design_from_weight(lambda l: np.exp(-np.asarray(l, dtype=float)), n=n)
+    with pytest.raises(BadParam, match="at least 3 points"):
+        design_from_regularizer(get_regularizer("exp").r_sp_base, n=n)
+
+
+@pytest.mark.parametrize("l_max", [0.0, -1.0, np.nan, np.inf])
+def test_weight_design_needs_a_finite_positive_l_max(l_max):
+    with pytest.raises(BadParam, match="l_max"):
+        design_from_weight(lambda l: np.exp(-np.asarray(l, dtype=float)), l_max=l_max)
 
 
 # ==== round trips =============================================================

@@ -48,6 +48,15 @@ def test_configs_take_only_catalog_names(name):
         SuiteConfig(regularizers=("hard", name))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("growth", 0.5), ("ridge", -1.0), ("stages", 0), ("growth", math.nan),
+    ("ridge", math.inf), ("noise", math.nan), ("outlier_scale", math.inf),
+])
+def test_suite_config_checks_every_training_field(field, value):
+    with pytest.raises(BadParam):
+        SuiteConfig(**{field: value})
+
+
 def test_base_penalty_minima():
     assert HARD.r_base_min == pytest.approx(-1.0)
     assert LINEAR.r_base_min == pytest.approx(0.0)

@@ -10,6 +10,7 @@ from selfpaced.conjugacy import Halfspace
 from selfpaced.curriculum import CurriculumRegion
 from selfpaced.errors import (
     BadFractions,
+    BadLabels,
     BadParam,
     InfeasibleCurriculum,
     UnsupportedRegularizer,
@@ -31,7 +32,6 @@ from selfpaced.training import (
     spl_fit,
     v_step,
     w_step,
-    weight_support_radius,
     write_dataset_csv,
 )
 
@@ -111,6 +111,16 @@ def test_loss_gradients_match_difference_quotients():
             e[j] = h
             num = (loss_vector(w + e, data, kind) - loss_vector(w - e, data, kind)) / (2 * h)
             assert np.allclose(grads[:, j], num, atol=1e-5)
+
+
+def test_logistic_loss_rejects_labels_outside_plus_minus_one():
+    ds = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
+    with pytest.raises(BadLabels):
+        loss_vector(np.zeros(1), ds, kind="logistic")
+    with pytest.raises(BadLabels):
+        loss_gradients(np.zeros(1), ds, kind="logistic")
+    with pytest.raises(BadLabels):
+        w_step(np.ones(2), ds, TrainConfig(loss="logistic"))
 
 
 # ==== parameter step ==========================================================
@@ -248,7 +258,7 @@ def test_median_schedule_starts_between_straddling_losses():
     assert lam == pytest.approx(2.5, abs=1e-9)
     # the exponential divides by its support radius instead
     lam_exp = median_schedule(np.array([1.0, 2.0, 3.0, 4.0]), EXP)
-    assert lam_exp == pytest.approx(2.5 / weight_support_radius(EXP), rel=1e-6)
+    assert lam_exp == pytest.approx(2.5 / EXP.support_radius, rel=1e-6)
 
 
 def test_median_schedule_growth_multiplies():
@@ -268,18 +278,19 @@ def test_median_schedule_bisects_the_support_radius_once_per_regularizer():
         calls.append(np.size(l))
         return np.exp(-np.asarray(l, dtype=float))
 
-    def fresh(domain=(0.0, 1.0)):  # a new but equal object, as catalog() builds them
-        return SPRegularizer("counted", EXP.r_sp_base, weight_base, EXP.latent_base, domain, 0.0)
-
+    counted = SPRegularizer("counted", EXP.r_sp_base, weight_base, EXP.latent_base, 0.0)
     losses = np.array([1.0, 2.0, 3.0, 4.0])
-    first = median_schedule(losses, fresh())
+    first = median_schedule(losses, counted)
     bisection = len(calls)
     assert bisection > 50
-    assert median_schedule(losses, fresh()) == first
+    assert median_schedule(losses, counted) == first
     assert len(calls) == bisection
-    # a regularizer that cannot be hashed is bisected on every start
-    assert median_schedule(losses, fresh([0.0, 1.0])) == first
-    assert len(calls) == 2 * bisection
+    assert counted.support_radius == EXP.support_radius
+    # the catalog hands out one object per entry, which keeps its radius
+    for reg in catalog():
+        assert get_regularizer(reg.name) is reg
+        median_schedule(losses, get_regularizer(reg.name))
+        assert "support_radius" in vars(reg)
 
 
 def test_portion_schedule_quantiles():
@@ -300,10 +311,10 @@ def test_portion_schedule_rejects_bad_fractions():
 
 
 def test_weight_support_radii():
-    assert weight_support_radius(HARD) == pytest.approx(1.0, abs=1e-9)
-    assert weight_support_radius(EXP) == pytest.approx(-math.log(1e-6), rel=1e-6)
-    assert weight_support_radius(LINEAR) == pytest.approx(1.0, abs=1e-5)
-    assert weight_support_radius(get_regularizer("log")) == pytest.approx(1e6, rel=1e-3)
+    assert HARD.support_radius == pytest.approx(1.0, abs=1e-9)
+    assert EXP.support_radius == pytest.approx(-math.log(1e-6), rel=1e-6)
+    assert LINEAR.support_radius == pytest.approx(1.0, abs=1e-5)
+    assert get_regularizer("log").support_radius == pytest.approx(1e6, rel=1e-3)
 
 
 # ==== objectives ==============================================================
@@ -343,6 +354,10 @@ def test_config_validation():
         TrainConfig(schedule="portion", fractions=(0.5, 0.4))
     with pytest.raises(BadParam):
         TrainConfig.from_dict({"bogus": 1})
+    for key in ("growth", "ridge", "inner_tol", "grad_tol"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(BadParam):
+                TrainConfig(**{key: value})
 
 
 def test_config_dict_round_trip():
