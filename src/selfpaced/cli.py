@@ -253,6 +253,10 @@ def cmd_derive(args) -> int:
     merged = _settings(args, _DERIVE_DEFAULTS, "derive")
     if not 0 < merged["lam"] < math.inf:
         raise _InputError("--lambda must be finite and positive")
+    if merged["table_points"] < 2:
+        raise _InputError("table_points must be at least 2")
+    if not 0 < merged["span"] < math.inf:
+        raise _InputError("span must be finite and positive")
     out = _ensure_out(args.out)
     table_args = {"lam": merged["lam"], "n": merged["table_points"], "span": merged["span"]}
     reg = _validated_regularizer(merged, out, "derivation failed", table_args)

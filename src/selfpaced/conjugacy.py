@@ -20,10 +20,12 @@ samples: infima of affine-in-v objectives over a polyhedral function are
 attained at grid vertices, so there is no discretization error beyond the
 interpolant itself.  Conjugation and biconjugation go through the upper
 concave hull of the samples (g* = (hull g)*) and cost O(N + M log N), after
-Lucet's linear-time Legendre transform; sup-convolution of concave inputs
-merges the two hulls' slope sequences, and only non-concave inputs to it
-fall back to a scan over vertex splits.  Results are deterministic; no state
-is shared between calls.
+Lucet's linear-time Legendre transform.  Sup-convolution merges slope
+sequences whenever either input is concave: the other input is split into
+its maximal concave runs, and each run's merge with the concave input's
+hull is one piece of the result.  Only a pair of non-concave inputs falls
+back to a scan over vertex splits.  Results are deterministic; no state is
+shared between calls.
 """
 
 from __future__ import annotations
@@ -271,18 +273,36 @@ def _on_hull(xs: np.ndarray, ys: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> 
     return float(gap.max()) <= 1e-12 * (1.0 + float(np.max(np.abs(ys))))
 
 
+def _concave_runs(xs: np.ndarray, ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split samples into maximal concave runs, each ending where the secant slope rises.
+
+    Neighbouring runs share the vertex between them, so the interpolant of
+    the samples is the pointwise max of the runs' interpolants.
+    """
+    rises = np.flatnonzero(np.diff(np.diff(ys) / np.diff(xs)) > 0) + 1
+    ends = np.concatenate(([0], rises, [xs.size - 1]))
+    return [(xs[a : b + 1], ys[a : b + 1]) for a, b in zip(ends[:-1], ends[1:])]
+
+
 def _hypograph_sum(fx, fy, gx, gy) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the Minkowski sum of two concave hypographs.
 
-    Both hulls' segments are merged by slope, largest first, starting from
-    the sum of the left endpoints; vertex k sums the two hull vertices that
-    the first k merged segments reach, so no rounding accumulates along the
-    chain.
+    Both hulls' segments are merged by slope, largest first and f's first
+    among equal slopes, starting from the sum of the left endpoints; vertex
+    k sums the two hull vertices that the first k merged segments reach, so
+    no rounding accumulates along the chain.  Each of f's segments lands
+    after the g segments of larger slope, found by a binary search, so the
+    merge costs O(N log M) past the O(N + M) vertex sums.  Both slope
+    sequences are sorted first, which makes the merge that of one stable
+    sort of all the slopes even where rounding leaves a hull's slopes a few
+    ulps out of order.
     """
-    slopes = np.concatenate((np.diff(fy) / np.diff(fx), np.diff(gy) / np.diff(gx)))
-    from_f = np.argsort(-slopes, kind="stable") < fx.size - 1
-    i = np.concatenate(([0], np.cumsum(from_f)))
-    k = np.concatenate(([0], np.cumsum(~from_f)))
+    f_down = np.sort((fy[:-1] - fy[1:]) / (fx[1:] - fx[:-1]))  # negated slopes
+    g_down = np.sort((gy[:-1] - gy[1:]) / (gx[1:] - gx[:-1]))
+    merged = np.arange(fx.size + gx.size - 1)
+    f_at = merged[: f_down.size] + g_down.searchsorted(f_down)
+    i = f_at.searchsorted(merged)  # f segments among the first k merged
+    k = merged - i
     return fx[i] + gx[k], fy[i] + gy[k]
 
 
@@ -318,13 +338,18 @@ def sup_convolution(
 
     The result is the exact sup-convolution of the two piecewise-linear
     interpolants at each output point inside the Minkowski sum of the
-    domains, and -inf outside it.  When both inputs lie on their upper
-    concave hulls to within 1e-12 * (1 + max |value|), the hypograph of the
-    result is the Minkowski sum of theirs: a merge of the two slope
-    sequences, O((N + M) log(N + M)) for N + M input samples, evaluated
-    piecewise-linearly on out_grid.  Otherwise every split at a vertex of
-    either input is scanned, O((N + M) * K) for K output points.  Raises
-    EmptyOverlap when no output point admits any feasible split.
+    domains, and -inf outside it.  When one input lies on its upper concave
+    hull to within 1e-12 * (1 + max |value|), the other is split into its
+    maximal concave runs (a single run, its hull, when it is concave too).
+    Sup-convolution distributes over the pointwise max of the runs, and the
+    hypograph of each run's term is the Minkowski sum of the run's and the
+    hull's: one merge of slope sequences, evaluated piecewise-linearly on
+    the output points inside its range.  For N samples in R runs against a
+    hull of M vertices that is O(N log M + R * M) vertex work, plus one
+    interpolation per output point in each run's range.  Only when neither
+    input is concave is every split at a vertex of either input scanned,
+    O((N + M) * K) for K output points.  Raises EmptyOverlap when no output
+    point admits any feasible split.
     """
     if out_grid is None:
         lo, hi = f.lo + g.lo, f.hi + g.hi
@@ -339,10 +364,18 @@ def sup_convolution(
     fx, fy = _finite_part(f)
     gx, gy = _finite_part(g)
     fh, gh = _upper_hull(fx, fy), _upper_hull(gx, gy)
-    if _on_hull(fx, fy, *fh) and _on_hull(gx, gy, *gh):
-        sx, sy = _hypograph_sum(*fh, *gh)
-        vals = np.interp(out_grid, sx, sy)
-        vals[(out_grid < sx[0]) | (out_grid > sx[-1])] = NEG_INFINITY
+    f_on, g_on = _on_hull(fx, fy, *fh), _on_hull(gx, gy, *gh)
+    if f_on or g_on:
+        # (max_r f_r) (+) g = max_r (f_r (+) g), each term a hypograph sum
+        if g_on:
+            hull, runs = gh, [fh] if f_on else _concave_runs(fx, fy)
+        else:
+            hull, runs = fh, _concave_runs(gx, gy)
+        vals = np.full(out_grid.size, NEG_INFINITY)
+        for rx, ry in runs:
+            sx, sy = _hypograph_sum(rx, ry, *hull)
+            inside = slice(out_grid.searchsorted(sx[0]), out_grid.searchsorted(sx[-1], "right"))
+            vals[inside] = np.maximum(vals[inside], np.interp(out_grid[inside], sx, sy))
     else:
         vals = _sup_convolution_scan(f, g, out_grid)
     if not np.isfinite(vals).any():
@@ -417,8 +450,11 @@ class Halfspace:
         k = np.asarray(self.k, dtype=float)
         if k.ndim != 1 or not np.any(k != 0):
             raise ValueError("halfspace normal k must be a nonzero 1-D vector")
+        b = float(self.b)
+        if not (np.all(np.isfinite(k)) and np.isfinite(b)):
+            raise ValueError("halfspace normal k and offset b must be finite")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         k.flags.writeable = False
 
     @property

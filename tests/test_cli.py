@@ -100,6 +100,30 @@ def test_derive_missing_input_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [({"table_points": 0}, "table_points must be at least 2"),
+     ({"table_points": 1}, "table_points must be at least 2"),
+     ({"span": -1}, "span must be finite and positive"),
+     ({"span": 0}, "span must be finite and positive")],
+)
+def test_derive_table_key_out_of_range_exits_one(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["derive", "--input", "exp-decay", "--config", str(path),
+                 "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_derive_two_point_tables(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"table_points": 2}))
+    out = tmp_path / "d"
+    assert main(["derive", "--input", "exp-decay", "--config", str(path), "--out", str(out)]) == 0
+    assert read_table(out / "weight.csv")[0].size == 2
+
+
 # ==== validate ================================================================
 
 
@@ -231,6 +255,14 @@ def test_curriculum_zero_normal_exits_two(tmp_path):
     code = main(["curriculum", "--regularizer", "exp", "--lambda", "1",
                  "--k", "0,0", "--b", "0", "--grid", "5", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("k, b", [("1,nan", "0"), ("1,-1", "nan"), ("inf,0", "0")])
+def test_curriculum_nonfinite_halfspace_exits_two(tmp_path, capsys, k, b):
+    code = main(["curriculum", f"--k={k}", "--b", b, "--grid", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "curriculum setup failed: bad halfspace spec: " in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("entry", [{"k": {"a": 1}}, {"k": [1.0, 0.0], "b": [1]}])

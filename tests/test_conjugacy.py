@@ -31,6 +31,7 @@ from selfpaced.errors import (
 )
 from selfpaced import conjugacy
 from selfpaced.oracles import conjugate_scan, random_concave
+from selfpaced.regularizers import design_from_regularizer, get_regularizer
 
 
 def pl(grid, values):
@@ -80,6 +81,14 @@ def brute_sup_convolution(f, g, out):
         for ax, av in zip(a.grid[finite], a.values[finite]):
             best = np.maximum(best, av + b.interp(out - ax))
     return best
+
+
+def assert_matches_brute_force(f, g, h):
+    """h = f (+) g to 1e-12 of the brute force, on h's grid, with the same domain."""
+    want = brute_sup_convolution(f, g, h.grid)
+    assert np.array_equal(np.isfinite(h.values), np.isfinite(want))
+    both = np.isfinite(want)
+    assert np.max(np.abs(h.values[both] - want[both])) <= 1e-12
 
 
 # ==== grids and sampled functions =============================================
@@ -291,41 +300,64 @@ def test_sup_convolution_raises_on_empty_overlap():
 def test_sup_convolution_of_concave_pair_matches_brute_force(seed):
     f = random_concave(seed)
     g = random_concave(seed + 100, grid=np.linspace(-1.0, 2.0, 129))
-    out = np.linspace(-1.5, 3.5, 301)
-    got = sup_convolution(f, g, out_grid=out).values
-    want = brute_sup_convolution(f, g, out)
-    assert np.array_equal(np.isfinite(got), np.isfinite(want))
-    both = np.isfinite(want)
-    assert np.max(np.abs(got[both] - want[both])) <= 1e-12
+    assert_matches_brute_force(f, g, sup_convolution(f, g, out_grid=np.linspace(-1.5, 3.5, 301)))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_sup_convolution_of_nonconcave_pair_matches_brute_force(seed):
     f = random_walk(seed, n=129)
     g = bump_on_concave(seed)
-    out = np.linspace(-0.5, 2.5, 301)
-    got = sup_convolution(f, g, out_grid=out).values
-    want = brute_sup_convolution(f, g, out)
-    assert np.array_equal(np.isfinite(got), np.isfinite(want))
-    both = np.isfinite(want)
-    assert np.max(np.abs(got[both] - want[both])) <= 1e-12
+    assert_matches_brute_force(f, g, sup_convolution(f, g, out_grid=np.linspace(-0.5, 2.5, 301)))
 
 
-def test_sup_convolution_scans_only_nonconcave_inputs(monkeypatch):
-    scanned = []
+@pytest.fixture
+def scans(monkeypatch):
+    """Record every call to the O(N * K) sup-convolution scan."""
+    calls = []
     scan = conjugacy._sup_convolution_scan
     monkeypatch.setattr(
-        conjugacy, "_sup_convolution_scan", lambda *a: scanned.append(1) or scan(*a)
+        conjugacy, "_sup_convolution_scan", lambda *a: calls.append(1) or scan(*a)
     )
-    f, g = random_concave(7), random_concave(8)
-    sup_convolution(f, g)
-    assert scanned == []
+    return calls
+
+
+def test_sup_convolution_scans_only_nonconcave_inputs(scans):
+    g = random_concave(8)
     # a saturating function, dented by 1e-10 on its flat part: non-concave by
-    # more than the 1e-12 hull tolerance, so it must take the scan
+    # more than the 1e-12 hull tolerance, but split into concave runs
     grid = unit_grid(257)
     dented = pl(grid, np.minimum(grid, 0.5) - 1e-10 * (grid == grid[200]))
-    sup_convolution(dented, g)
-    assert scanned == [1]
+    for f, h in ((dented, g), (g, dented)):
+        assert_matches_brute_force(f, h, sup_convolution(f, h))
+    assert scans == []
+    sup_convolution(random_walk(0), bump_on_concave(0))
+    assert scans == [1]
+    # a concave pair takes the single merge of the two hulls
+    f, g = random_concave(7), random_concave(8, grid=np.linspace(-1.0, 2.0, 129))
+    out = np.linspace(-1.5, 3.5, 301)
+    sx, sy = conjugacy._hypograph_sum(
+        *conjugacy._upper_hull(*conjugacy._finite_part(f)),
+        *conjugacy._upper_hull(*conjugacy._finite_part(g)),
+    )
+    want = np.where((out < sx[0]) | (out > sx[-1]), NEG_INFINITY, np.interp(out, sx, sy))
+    assert np.array_equal(sup_convolution(f, g, out_grid=out).values, want)
+
+
+def test_designed_latent_off_its_hull_convolves_exactly_with_exp(scans):
+    # the designed penalty c|1-v|^q/q + (1-c)(v log v - v + 1) at c = 0.8 has
+    # a latent that is non-concave by about 1.6e-11 on its flat tail
+    def penalty(v):
+        v = np.asarray(v, dtype=float)
+        entropy = v * np.log(np.where(v > 0, v, 1.0)) - v + 1.0
+        return 0.8 * np.abs(1.0 - v) ** 2.5 / 2.5 + 0.2 * np.where(v > 0, entropy, 1.0)
+
+    lgrid = np.linspace(0.0, 8.0, 1025)
+    latent = pl(lgrid, design_from_regularizer(penalty).latent(1.0, lgrid))
+    exp = pl(lgrid, get_regularizer("exp").latent(1.0, lgrid))
+    hull = conjugacy._upper_hull(lgrid, latent.values)
+    assert not conjugacy._on_hull(lgrid, latent.values, *hull)
+    assert_matches_brute_force(latent, exp, sup_convolution(latent, exp))
+    assert scans == []
 
 
 def test_sup_convolution_default_out_grid_covers_minkowski_sum():
@@ -419,6 +451,15 @@ def test_subdifferential_outside_domain_raises():
 def test_halfspace_rejects_zero_normal():
     with pytest.raises(ValueError):
         Halfspace(np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "k, b",
+    [([1.0, np.nan], 0.0), ([np.inf, 0.0], 0.0), ([1.0, -1.0], np.nan), ([1.0, 0.0], -np.inf)],
+)
+def test_halfspace_rejects_nonfinite_normal_or_offset(k, b):
+    with pytest.raises(ValueError, match="finite"):
+        Halfspace(np.array(k), b)
 
 
 def test_halfspace_contains_and_dim():
@@ -521,6 +562,23 @@ def test_fast_conjugate_agrees_with_scan(seed):
         a = conjugate_scan(g, out).values
         b = concave_conjugate(g, out).values
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, dents=st.integers(1, 6), dented_first=st.booleans())
+def test_sup_convolution_of_a_dented_concave_function_is_exact(seed, dents, dented_first):
+    # a concave polyline with long straight stretches, dented by +-1e-11 at
+    # random vertices: the dents on a straight stretch leave it non-concave
+    # by more than the 1e-12 hull tolerance
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, 129)
+    slopes = np.sort(rng.choice(rng.uniform(-1.0, 1.0, 4), grid.size - 1))[::-1]
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(grid))))
+    at = rng.integers(0, grid.size, dents)
+    values[at] += 1e-11 * rng.choice([-1.0, 1.0], dents)
+    dented, g = pl(grid, values), random_concave(seed, grid=np.linspace(-1.0, 1.0, 65))
+    f, h = (dented, g) if dented_first else (g, dented)
+    assert_matches_brute_force(f, h, sup_convolution(f, h))
 
 
 @settings(max_examples=25, deadline=None)
