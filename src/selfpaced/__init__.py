@@ -13,17 +13,11 @@ from .conjugacy import (
     Halfspace,
     NEG_INFINITY,
     SampledFunction,
-    SubgradientInterval,
     biconjugate,
     concave_conjugate,
-    conjugate_value,
     graded_unit_grid,
     loss_grid,
-    separable_conjugate,
-    subdifferential,
     sup_convolution,
-    support_function,
-    unit_grid,
 )
 from .curriculum import (
     CurriculumActionResult,
@@ -39,7 +33,6 @@ from .oracles import (
     GridSpec,
     critical_region_side,
     curriculum_action_numeric,
-    finite_diff,
     grid_constrained_inf,
     homogeneous_action_ray,
     homogeneous_closed_form,
@@ -78,17 +71,11 @@ __all__ = [
     "Halfspace",
     "NEG_INFINITY",
     "SampledFunction",
-    "SubgradientInterval",
     "biconjugate",
     "concave_conjugate",
-    "conjugate_value",
     "graded_unit_grid",
     "loss_grid",
-    "separable_conjugate",
-    "subdifferential",
     "sup_convolution",
-    "support_function",
-    "unit_grid",
     "CurriculumActionResult",
     "CurriculumRegion",
     "affine_action",
@@ -103,7 +90,6 @@ __all__ = [
     "GridSpec",
     "critical_region_side",
     "curriculum_action_numeric",
-    "finite_diff",
     "grid_constrained_inf",
     "homogeneous_action_ray",
     "homogeneous_closed_form",

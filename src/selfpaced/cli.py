@@ -79,6 +79,8 @@ def _input_callable(pipeline: str, name: str):
             sf = SampledFunction.from_csv(name)
         except ValueError as exc:
             raise _InputError(str(exc)) from None
+        except SelfPacedError as exc:
+            raise _InputError(f"{name}: {exc}") from None
         grid, vals = sf.grid, sf.values
         if pipeline == "from-weight":
             return lambda l: np.interp(np.asarray(l, dtype=float), grid, vals)
@@ -196,12 +198,13 @@ def _build_regularizer(merged: dict):
     pipeline = merged.get("pipeline")
     if pipeline not in (None, "from-weight", "from-regularizer"):
         raise _InputError(f"unknown pipeline {pipeline!r}")
-    if pipeline is not None and not merged.get("input"):
-        raise _InputError("pipeline requires --input (a named function or .csv path)")
+    name = merged.get("input")
+    if pipeline is not None and not (isinstance(name, str) and name):
+        raise _InputError(f"pipeline requires --input, a named function or .csv path, got {name!r}")
     try:
         if pipeline is None:
             return get_regularizer(merged.get("regularizer"))
-        fn = _input_callable(pipeline, merged["input"])
+        fn = _input_callable(pipeline, name)
         if pipeline == "from-weight":
             return design_from_weight(fn, l_max=merged["l_max"], n=merged["grid_points"])
         return design_from_regularizer(fn, n=merged["grid_points"])
@@ -378,8 +381,8 @@ _FIT_DEFAULTS = {"dataset": None, **_field_defaults(TrainConfig), "cross_check":
 
 def cmd_fit(args) -> int:
     merged = _settings(args, _FIT_DEFAULTS, "fit")
-    if not merged["dataset"]:
-        raise _InputError("fit requires --dataset <csv>")
+    if not (isinstance(merged["dataset"], str) and merged["dataset"]):
+        raise _InputError(f"fit requires --dataset <csv>, got {merged['dataset']!r}")
     out = _ensure_out(args.out)
 
     try:
@@ -432,10 +435,12 @@ def cmd_compare(args) -> int:
         if not parsed:
             raise _InputError("--seeds: expected a count or a list of seeds")
         seeds = tuple(int(s) for s in parsed) if "," in seeds else int(parsed[0])
-    if isinstance(seeds, int):
-        seeds = tuple(range(seeds))
-    else:
-        seeds = tuple(int(s) for s in seeds)
+    try:
+        seeds = tuple(range(seeds)) if isinstance(seeds, int) else tuple(int(s) for s in seeds)
+    except (TypeError, ValueError):
+        raise _InputError(
+            f"compare: config key 'seeds' must be a count or a list of seeds, got {seeds!r}"
+        ) from None
     out = _ensure_out(args.out)
 
     try:

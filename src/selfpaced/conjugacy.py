@@ -11,9 +11,6 @@ The calculus implemented on top of that representation:
   * concave_conjugate  g*(l) = inf_v { v*l - g(v) }
   * sup_convolution    (f (+) g)(x) = sup { f(x1) + g(x2) : x1 + x2 = x }
   * biconjugate        g** (the upper-semicontinuous concave hull of g)
-  * subdifferential    supergradient interval of a concave sampled function
-  * support_function   inf of <v, l> over a halfspace {v : <v, k> >= b}
-  * separable_conjugate  sum of per-coordinate 1-D conjugates
 
 All evaluations are exact for the piecewise-linear interpolant of the
 samples: infima of affine-in-v objectives over a polyhedral function are
@@ -35,13 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadGrid,
-    DimensionMismatch,
-    EmptyOverlap,
-    NonProper,
-    OutsideDomain,
-)
+from .errors import BadGrid, EmptyOverlap, NonProper
 
 NEG_INFINITY = -np.inf
 
@@ -50,11 +41,6 @@ _BLOCK = 1024
 
 
 # ==== grids ===================================================================
-
-
-def unit_grid(n: int = 2049) -> np.ndarray:
-    """Uniform grid on [0, 1] with n points."""
-    return np.linspace(0.0, 1.0, n)
 
 
 def loss_grid(lam: float = 1.0, n: int = 2049, span: float = 8.0) -> np.ndarray:
@@ -136,10 +122,6 @@ class SampledFunction:
     def hi(self) -> float:
         return float(self.grid[self.domain_indices[1]])
 
-    @property
-    def max_step(self) -> float:
-        return float(np.max(np.diff(self.grid)))
-
     def interp(self, x):
         """Piecewise-linear evaluation, -inf outside the effective domain."""
         xq = np.asarray(x, dtype=float)
@@ -155,18 +137,12 @@ class SampledFunction:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_csv(self, path) -> None:
-        """Write as CSV with header ``x,value``; -inf is written literally."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(self.grid, self.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
-
     @classmethod
     def from_csv(cls, path) -> "SampledFunction":
-        """Read a ``x,value`` CSV written by to_csv.
+        """Read a ``x,value`` CSV; the literal token ``-inf`` marks points off the domain.
 
-        Raises ValueError with a line-numbered diagnostic on malformed input.
+        Raises ValueError with a line-numbered diagnostic on a malformed row,
+        and BadGrid or NonProper when the samples do not form a SampledFunction.
         """
         grid, values = [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -245,12 +221,6 @@ def concave_conjugate(g: SampledFunction, out_grid: np.ndarray) -> SampledFuncti
     slopes = np.diff(hy) / np.diff(hx)  # non-increasing
     j = np.searchsorted(-slopes, -out_grid)
     return SampledFunction(out_grid, hx[j] * out_grid - hy[j])
-
-
-def conjugate_value(g: SampledFunction, l: float) -> float:
-    """g*(l) at a single point, as a direct minimum over g's samples."""
-    vs, gs = _finite_part(g)
-    return float(np.min(vs * l - gs))
 
 
 def biconjugate(g: SampledFunction) -> SampledFunction:
@@ -383,59 +353,6 @@ def sup_convolution(
     return SampledFunction(out_grid, vals)
 
 
-def separable_conjugate(gs, l) -> float:
-    """Sum of per-coordinate conjugates: sum_i g_i*(l_i)."""
-    l = np.atleast_1d(np.asarray(l, dtype=float))
-    if len(gs) != l.size:
-        raise DimensionMismatch(f"{len(gs)} functions but {l.size} loss coordinates")
-    return float(sum(conjugate_value(gi, li) for gi, li in zip(gs, l)))
-
-
-# ==== subdifferentials ========================================================
-
-
-@dataclass(frozen=True)
-class SubgradientInterval:
-    """Closed supergradient interval [lower, upper]; endpoints may be +-inf."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise ValueError(f"empty interval [{self.lower}, {self.upper}]")
-
-    def contains(self, s: float, tol: float = 0.0) -> bool:
-        return self.lower - tol <= s <= self.upper + tol
-
-
-def subdifferential(g: SampledFunction, x: float) -> SubgradientInterval:
-    """Supergradient interval of the piecewise-linear interpolant at x.
-
-    For a concave input the interval is [right slope, left slope] from the
-    neighbouring grid cells, extended to +-inf at the domain endpoints.
-    Raises OutsideDomain when x is not in the closure of the domain.
-    """
-    xs, ys = _finite_part(g)
-    span = g.grid[-1] - g.grid[0]
-    tol = 1e-9 * max(1.0, abs(span))
-    if x < xs[0] - tol or x > xs[-1] + tol:
-        raise OutsideDomain(f"x={x} outside domain [{xs[0]}, {xs[-1]}]")
-    if xs.size == 1:
-        return SubgradientInterval(-np.inf, np.inf)
-
-    j = int(np.clip(np.searchsorted(xs, x), 0, xs.size - 1))
-    if j > 0 and abs(x - xs[j - 1]) <= tol:
-        j -= 1
-    secant = lambda i: (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-    if abs(x - xs[j]) <= tol:
-        left = secant(j - 1) if j > 0 else np.inf
-        right = secant(j) if j < xs.size - 1 else -np.inf
-        return SubgradientInterval(float(right), float(left))
-    s = secant(j - 1)  # x strictly inside cell (j-1, j)
-    return SubgradientInterval(float(s), float(s))
-
-
 # ==== halfspaces ==============================================================
 
 
@@ -456,29 +373,3 @@ class Halfspace:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "b", b)
         k.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.k.size
-
-    def contains(self, v, tol: float = 1e-9):
-        v = np.asarray(v, dtype=float)
-        return v @ self.k >= self.b - tol
-
-
-def support_function(h: Halfspace, l) -> float:
-    """inf of <v, l> over the halfspace { v : <v, k> >= b }.
-
-    Finite only when l is a nonnegative multiple of k, in which case the
-    infimum is beta * b for l = beta * k; otherwise the linear form is
-    unbounded below on the halfspace and the value is -inf.
-    """
-    l = np.asarray(l, dtype=float)
-    if l.shape != h.k.shape:
-        raise DimensionMismatch(f"l has shape {l.shape}, k has shape {h.k.shape}")
-    beta = float(l @ h.k) / float(h.k @ h.k)
-    resid = l - beta * h.k
-    scale = max(1.0, float(np.linalg.norm(l)))
-    if np.linalg.norm(resid) <= 1e-9 * scale and beta >= -1e-9:
-        return max(beta, 0.0) * h.b
-    return NEG_INFINITY

@@ -24,10 +24,6 @@ class EmptyOverlap(SelfPacedError):
     """Supremal convolution has no feasible split at any output point."""
 
 
-class OutsideDomain(SelfPacedError):
-    """Query point lies outside the closure of the effective domain."""
-
-
 class DimensionMismatch(SelfPacedError):
     """Vector arguments disagree in length, or dimension unsupported."""
 
@@ -95,10 +91,6 @@ class BadFractions(SelfPacedError):
 
 
 # ---- warnings ----------------------------------------------------------------
-
-class DomainEdge(UserWarning):
-    """Finite difference fell back to a one-sided stencil at a domain edge."""
-
 
 class WeightTail(UserWarning):
     """Designed weight function does not decay to 0 by the end of the loss grid."""

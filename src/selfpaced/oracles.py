@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from .curriculum import (
 from .errors import (
     BadParam,
     DimensionMismatch,
-    DomainEdge,
     EmptyFeasible,
     UnsupportedRegularizer,
 )
@@ -122,35 +120,6 @@ def conjugate_scan(g: SampledFunction, out_grid) -> SampledFunction:
     finite = np.isfinite(g.values)
     vs, gs = g.grid[finite], g.values[finite]
     return SampledFunction(out_grid, np.array([np.min(vs * l - gs) for l in out_grid]))
-
-
-def finite_diff(fn, x: float, h: float = 1e-4) -> float:
-    """Central difference derivative estimate, one-sided at domain edges.
-
-    Falls back to a one-sided stencil (and emits a DomainEdge warning) when
-    fn is non-finite or raises on one side of x.
-    """
-
-    def try_eval(z):
-        try:
-            v = float(fn(z))
-        except Exception:
-            return None
-        return v if math.isfinite(v) else None
-
-    fp, fm = try_eval(x + h), try_eval(x - h)
-    if fp is not None and fm is not None:
-        return (fp - fm) / (2 * h)
-    f0 = try_eval(x)
-    if f0 is None:
-        raise EmptyFeasible(f"fn not finite at x={x}")
-    if fp is not None:
-        warnings.warn(f"one-sided forward difference at x={x}", DomainEdge)
-        return (fp - f0) / h
-    if fm is not None:
-        warnings.warn(f"one-sided backward difference at x={x}", DomainEdge)
-        return (f0 - fm) / h
-    raise EmptyFeasible(f"fn not finite on either side of x={x}")
 
 
 def random_concave(

@@ -40,11 +40,10 @@ from .regularizers import SPRegularizer, get_regularizer
 
 @dataclass(frozen=True)
 class Dataset:
-    """A fixed design matrix (n, d), targets (n,), and optional group labels."""
+    """A fixed design matrix (n, d) and targets (n,)."""
 
     X: np.ndarray
     y: np.ndarray
-    groups: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -57,11 +56,6 @@ class Dataset:
             raise BadParam("dataset entries must be finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if self.groups is not None:
-            g = np.asarray(self.groups)
-            if g.shape != y.shape:
-                raise BadParam("group labels must align with targets")
-            object.__setattr__(self, "groups", g.astype(int))
 
     @property
     def n(self) -> int:
@@ -75,10 +69,9 @@ class Dataset:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV: feature columns, then the target column.
 
-    The header row is mandatory.  An integer column named exactly `group`
-    may appear anywhere and carries group labels; the last non-group column
-    is the target, all remaining columns are features in file order.
-    Raises ValueError with a file:line diagnostic on malformed input.
+    The header row is mandatory.  The last column is the target, all others
+    are features in file order.  Raises ValueError with a file:line
+    diagnostic on malformed input.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -104,40 +97,20 @@ def load_dataset_csv(path) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    names = [h.strip() for h in header]
-    group_cols = [i for i, h in enumerate(names) if h == "group"]
-    groups = None
-    if group_cols:
-        if len(group_cols) > 1:
-            raise ValueError(f"{path}:1: multiple 'group' columns")
-        gcol = group_cols[0]
-        gvals = data[:, gcol]
-        if not np.allclose(gvals, np.round(gvals)):
-            raise ValueError(f"{path}: group labels must be integers")
-        groups = np.round(gvals).astype(int)
-        data = np.delete(data, gcol, axis=1)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}:1: need at least one feature and a target column")
-    return Dataset(data[:, :-1], data[:, -1], groups)
+    return Dataset(data[:, :-1], data[:, -1])
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     """Write a dataset in the format load_dataset_csv reads back.
 
-    Columns x0..x{d-1}, then y; a trailing integer `group` column when the
-    dataset carries group labels.  Floats use repr so a write/read round
-    trip is exact; LF line endings.
+    Columns x0..x{d-1}, then y.  Floats use repr so a write/read round trip
+    is exact; LF line endings.
     """
     header = [f"x{j}" for j in range(dataset.d)] + ["y"]
-    if dataset.groups is not None:
-        header.append("group")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(dataset.n):
-            cells = [repr(float(x)) for x in dataset.X[i]]
-            cells.append(repr(float(dataset.y[i])))
-            if dataset.groups is not None:
-                cells.append(str(int(dataset.groups[i])))
+            cells = [repr(float(x)) for x in dataset.X[i]] + [repr(float(dataset.y[i]))]
             fh.write(",".join(cells) + "\n")
 
 
@@ -253,11 +226,6 @@ def _loss_slopes(w: np.ndarray, dataset: Dataset, kind: str) -> np.ndarray:
             raise BadLabels("logistic loss requires labels in {-1, +1}")
         return -y / (1.0 + np.exp(y * scores))  # -y * sigmoid(-y * score)
     raise BadParam(f"unknown loss kind {kind!r}")
-
-
-def loss_gradients(w: np.ndarray, dataset: Dataset, kind: str = "squared") -> np.ndarray:
-    """Rows are the gradients of each per-sample loss at w, shape (n, d)."""
-    return _loss_slopes(w, dataset, kind)[:, None] * dataset.X
 
 
 # ==== the w-step ==============================================================

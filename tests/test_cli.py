@@ -89,6 +89,20 @@ def test_derive_malformed_csv_exits_one_with_line_number(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, fragment", [
+    ("0.0,1.0\n0.5,nan\n", "finite"),
+    ("0.0,1.0\n0.5,0.5\n0.5,0.2\n", "increasing"),
+], ids=["nan-value", "flat-grid"])
+def test_derive_csv_that_is_no_sampled_function_exits_one(tmp_path, capsys, rows, fragment):
+    src = tmp_path / "bad.csv"
+    src.write_text("x,value\n" + rows)
+    code = main(["derive", "--pipeline", "from-weight", "--input", str(src),
+                 "--out", str(tmp_path / "d")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(src) in err and fragment in err
+
+
 def test_derive_unknown_named_input_exits_one(tmp_path):
     code = main(["derive", "--pipeline", "from-weight", "--input", "mystery",
                  "--out", str(tmp_path)])
@@ -526,12 +540,22 @@ def test_null_config_value_exits_one_naming_the_key(tmp_path, capsys, command, k
     ("fit", {"ridge": "0.1"}),
     ("fit", {"lam": "2"}),
     ("compare", {"n": "40"}),
+    ("derive", {"input": 5}),
+    ("derive", {"input": [1]}),
+    ("validate", {"input": 5}),
+    ("validate", {"input": [1]}),
+    ("compare", {"seeds": 0.5}),
+    ("fit", {"dataset": [1]}),
+    ("fit", {"dataset": 5.5}),
 ])
 def test_mistyped_numeric_config_value_exits_one_naming_the_key(tmp_path, capsys, command,
                                                                 file_cfg):
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(file_cfg) + "\n")
-    args = {"derive": ["--input", "exp-decay"], "fit": ["--dataset", DATASET]}.get(command, [])
+    # the required flags, except one whose key the config file sets
+    args = {"derive": [] if "input" in file_cfg else ["--input", "exp-decay"],
+            "validate": ["--pipeline", "from-weight"],
+            "fit": [] if "dataset" in file_cfg else ["--dataset", DATASET]}.get(command, [])
     assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and next(iter(file_cfg)) in err

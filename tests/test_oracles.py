@@ -1,4 +1,4 @@
-"""Independent references: grid search minima, difference quotients, random inputs."""
+"""Independent references: grid search minima and random inputs."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfpaced.errors import DimensionMismatch, DomainEdge, EmptyFeasible
-from selfpaced.oracles import GridSpec, finite_diff, grid_constrained_inf, random_concave
+from selfpaced.errors import DimensionMismatch, EmptyFeasible
+from selfpaced.oracles import GridSpec, grid_constrained_inf, random_concave
 
 
 # ==== grid specs ==============================================================
@@ -84,33 +84,6 @@ def test_error_bound_shrinks_and_covers_the_refined_minimum():
         assert value >= prev_value - prev_bound - 1e-12
         assert value <= prev_value + 1e-15
         prev_value, prev_bound = value, bound
-
-
-# ==== difference quotients ====================================================
-
-
-def test_central_difference_on_quadratic():
-    assert finite_diff(lambda x: x * x, 0.3) == pytest.approx(0.6, abs=1e-7)
-
-
-def test_central_difference_on_cubic():
-    assert finite_diff(lambda x: x**3, 1.0) == pytest.approx(3.0, abs=1e-6)
-
-
-def test_one_sided_fallback_warns_at_domain_edge():
-    def half_line(x):
-        if x < 0:
-            raise ValueError("outside domain")
-        return 2.0 * x
-
-    with pytest.warns(DomainEdge):
-        got = finite_diff(half_line, 0.0)
-    assert got == pytest.approx(2.0, abs=1e-9)
-
-
-def test_no_finite_values_raises():
-    with pytest.raises(EmptyFeasible):
-        finite_diff(lambda x: math.nan, 0.0)
 
 
 # ==== random concave generators ===============================================

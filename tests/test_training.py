@@ -21,11 +21,11 @@ from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
 from selfpaced.training import (
     Dataset,
     TrainConfig,
+    _loss_slopes,
     full_objective,
     gradient_norm,
     latent_objective,
     load_dataset_csv,
-    loss_gradients,
     loss_vector,
     median_schedule,
     portion_schedule,
@@ -54,19 +54,16 @@ def test_dataset_validates_shapes_and_finiteness():
         Dataset(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(BadParam):
         Dataset(np.array([[1.0], [np.nan]]), np.zeros(2))
-    with pytest.raises(BadParam):
-        Dataset(np.zeros((2, 1)), np.zeros(2), groups=np.array([0, 1, 2]))
 
 
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
-    ds = Dataset(rng.normal(size=(7, 3)), rng.normal(size=7), groups=np.array([0, 1, 0, 1, 2, 2, 0]))
+    ds = Dataset(rng.normal(size=(7, 3)), rng.normal(size=7))
     path = tmp_path / "ds.csv"
     write_dataset_csv(ds, path)
     back = load_dataset_csv(path)
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
-    assert np.array_equal(back.groups, ds.groups)
 
 
 def test_dataset_csv_diagnostics_carry_line_numbers(tmp_path):
@@ -104,7 +101,7 @@ def test_loss_gradients_match_difference_quotients():
     for kind in ("squared", "logistic"):
         y = np.sign(ds.y) if kind == "logistic" else ds.y
         data = Dataset(ds.X, y)
-        grads = loss_gradients(w, data, kind)
+        grads = _loss_slopes(w, data, kind)[:, None] * data.X
         h = 1e-6
         for j in range(3):
             e = np.zeros(3)
@@ -118,7 +115,7 @@ def test_logistic_loss_rejects_labels_outside_plus_minus_one():
     with pytest.raises(BadLabels):
         loss_vector(np.zeros(1), ds, kind="logistic")
     with pytest.raises(BadLabels):
-        loss_gradients(np.zeros(1), ds, kind="logistic")
+        _loss_slopes(np.zeros(1), ds, kind="logistic")
     with pytest.raises(BadLabels):
         w_step(np.ones(2), ds, TrainConfig(loss="logistic"))
 
@@ -446,7 +443,7 @@ def test_latent_descent_gradient_matches_difference_quotient():
 
     l = loss_vector(w, ds)
     v = v_step(l, lam, LINEAR)
-    grad = loss_gradients(w, ds).T @ v + 2.0 * cfg.ridge * w
+    grad = (_loss_slopes(w, ds, "squared")[:, None] * ds.X).T @ v + 2.0 * cfg.ridge * w
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)
