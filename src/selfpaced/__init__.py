@@ -24,7 +24,6 @@ from .curriculum import (
     CurriculumRegion,
     affine_action,
     group_latent,
-    latent_extended,
     weight_extended,
 )
 from .errors import SelfPacedError
@@ -37,6 +36,7 @@ from .oracles import (
     homogeneous_action_ray,
     homogeneous_closed_form,
     latent_descent_fit,
+    latent_extended,
     random_concave,
 )
 from .regularizers import (
@@ -80,7 +80,6 @@ __all__ = [
     "CurriculumRegion",
     "affine_action",
     "group_latent",
-    "latent_extended",
     "weight_extended",
     "SelfPacedError",
     "SuiteConfig",
@@ -94,6 +93,7 @@ __all__ = [
     "homogeneous_action_ray",
     "homogeneous_closed_form",
     "latent_descent_fit",
+    "latent_extended",
     "random_concave",
     "SPRegularizer",
     "ValidationReport",

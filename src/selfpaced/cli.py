@@ -27,8 +27,8 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .conjugacy import SampledFunction
-from .curriculum import CurriculumRegion, affine_action, group_latent
-from .errors import BadParam, NoRoot, SelfPacedError
+from .curriculum import CurriculumRegion, region_latent
+from .errors import BadParam, SelfPacedError
 from .experiments import SuiteConfig, run_compare, write_compare_csv
 from .oracles import latent_descent_fit
 from .regularizers import (
@@ -125,7 +125,7 @@ def _settings(args, defaults: dict, where: str) -> dict:
     Each flag sets the key of its own name, and --k/--b or --groups set
     `region`.  Config keys must be keys of `defaults`.  A key whose default
     is a float takes any finite number and an int key an integral one, each
-    turned into its default's type.
+    turned into its default's type; a bool key takes only true or false.
     """
     given = vars(args)
     file_cfg = _load_config_file(given["config"]) if given.get("config") else {}
@@ -137,6 +137,8 @@ def _settings(args, defaults: dict, where: str) -> dict:
         raise _InputError(f"{where}: config keys may not be null: {nulls}")
     for key, val in file_cfg.items():
         kind = type(defaults[key])
+        if kind is bool and type(val) is not bool:
+            raise _InputError(f"{where}: config key {key!r} must be true or false, got {val!r}")
         if kind not in (int, float):
             continue
         if not (type(val) is int or type(val) is float and math.isfinite(val)
@@ -320,11 +322,8 @@ def cmd_curriculum(args) -> int:
     except SelfPacedError as exc:
         print(f"curriculum setup failed: {exc}", file=sys.stderr)
         return 2
-    if len(region.halfspaces) > 1:
-        raise _InputError("curriculum lattice supports regions of at most one halfspace")
 
     axis = np.linspace(0.0, merged["span"], merged["grid"])
-    halfspace = region.halfspaces[0] if region.halfspaces else None
     rows = []
     sides = {"unaffected": 0, "penalized": 0}
     boundary = []
@@ -334,23 +333,16 @@ def cmd_curriculum(args) -> int:
             for l2 in axis:
                 l = np.array([l1, l2])
                 base = float(np.sum(reg.latent(lam, l)))
-                fnew, side = base, "-"
-                if region.partition:
-                    fnew = group_latent(reg, lam, l, region.partition).value
-                elif halfspace is not None:
-                    try:
-                        res = affine_action(reg, lam, l, halfspace)
-                        fnew, side = res.value, res.side
-                    except NoRoot:
-                        if halfspace.b != 0.0:
-                            raise
-                        fnew, side = np.inf, "penalized"  # the homogeneous sup diverges
+                fnew = region_latent(reg, lam, l, region)[0]
+                side = "-"
+                if region.halfspaces:
+                    gaps = region.normal_dots(reg.weight(lam, l)) - region.offsets
+                    side = "unaffected" if np.all(gaps >= -1e-12) else "penalized"
                     sides[side] += 1
-                    w = np.asarray(reg.weight(lam, l), dtype=float)
-                    if abs(float(w @ halfspace.k) - halfspace.b) <= 1e-9:
+                    if np.any(np.abs(gaps) <= 1e-9):
                         boundary.append([float(l1), float(l2)])
                 max_excess = max(max_excess, fnew - base)
-                rows.append((float(l1), float(l2), base, float(fnew), side))
+                rows.append((float(l1), float(l2), base, fnew, side))
     except SelfPacedError as exc:
         print(f"curriculum evaluation failed: {exc}", file=sys.stderr)
         return 2
@@ -427,6 +419,8 @@ _COMPARE_DEFAULTS = _field_defaults(SuiteConfig)
 
 def cmd_compare(args) -> int:
     merged = _settings(args, _COMPARE_DEFAULTS, "compare")
+    if isinstance(merged["regularizers"], str):  # a config string, split as the flag is
+        merged["regularizers"] = tuple(merged["regularizers"].split(","))
     seeds = merged["seeds"]
     if isinstance(seeds, str):
         # A bare integer is a seed count; only a comma-separated string

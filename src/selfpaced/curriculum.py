@@ -1,33 +1,12 @@
-"""Curriculum regions and their effect on the latent objective.
+"""Curriculum regions, the region-constrained weight step, and its latent.
 
-A curriculum region constrains the weight vector v beyond the box [0, 1]^n.
-Three kinds are supported:
-
-  * halfspace     { v : <k, v> >= b }
-  * intersection  finitely many halfspaces at once
-  * groups        v constant within each block of a partition
-
-Constraining v changes the latent objective.  For a single halfspace the
-change has a one-dimensional form: the constrained latent equals
-
-    sup_{beta >= 0}  F(l - beta * k) + beta * b
-
-where F is the unconstrained joint latent.  The search direction can push
-individual entries of l - beta * k below zero, so F is extended there
-linearly (slope one, full weight); the extension is exact whenever a zero
-loss receives full weight, which holds for every regularizer built here.
-
-This module holds the regions, their decoded forms, and every route of the
-region-constrained weight step (v_step), which training re-exports; the
-route follows what a region holds, not its kind.  Groups and orderings
-v_i >= v_j that form a forest (CurriculumRegion.forest) need no multiplier:
-the v-step pools the losses of both, a group being one node already pooled,
-and takes the weights of the isotonic regression (Barlow, Bartholomew,
-Bremner & Brunk, 1972).  Other halfspaces take the dual multiplier search.
-
-The constrained latents build on those routes: affine_action runs the same
-multiplier search for one halfspace (any b) and adds the dual value, and
-group_latent pools through the v-step's groups route.  Ray searches, closed
+A region constrains the weights v beyond the box [0, 1]^n: a halfspace
+{ v : <k, v> >= b }, an intersection of several, or groups (v constant on
+each block of a partition).  Every route of the v-step lives here (see
+v_step); training re-exports v_step.  A self-paced step minimizes a latent
+concave objective, so the constrained latent is the v-step's minimum:
+region_latent values the route's own weights by the primal, and
+affine_action and group_latent call it.  Ray searches on the dual, closed
 forms and grid minimization over v are references and live in oracles.
 """
 
@@ -313,30 +292,6 @@ class CurriculumRegion:
         )
 
 
-# ==== loss-side extensions ====================================================
-
-
-def latent_extended(reg: SPRegularizer, lam: float, l):
-    """Joint latent extended to negative losses by the slope-one linear tail.
-
-    For l >= 0 this is the ordinary latent; for l < 0 it continues as l
-    itself (weight pinned at 1), which is the true constrained value
-    whenever a zero loss receives full weight.
-    """
-    la = np.asarray(l, dtype=float)
-    pos = np.where(la >= 0, la, 0.0)
-    vals = np.asarray(reg.latent(lam, pos), dtype=float)
-    return np.where(la >= 0, vals, la)
-
-
-def weight_extended(reg: SPRegularizer, lam: float, l):
-    """Weight map extended to negative losses with full weight 1."""
-    la = np.asarray(l, dtype=float)
-    inside = la >= 0
-    vals = np.asarray(reg.weight(lam, np.where(inside, la, 0.0)), dtype=float)
-    return np.where(inside, vals, 1.0)
-
-
 # ==== results =================================================================
 
 
@@ -346,7 +301,7 @@ class CurriculumActionResult:
 
     value   the constrained latent objective (normalized to 0 at l = 0)
     weights minimizing weight vector, when available
-    beta    multiplier of the active halfspace direction (0 when unaffected)
+    beta    multiplier of the active halfspace (0 when unaffected, inf when b forces v)
     side    'unaffected' or 'penalized' for halfspace regions, '-' otherwise
     """
 
@@ -357,6 +312,14 @@ class CurriculumActionResult:
 
 
 # ==== the multiplier search ===================================================
+
+
+def weight_extended(reg: SPRegularizer, lam: float, l):
+    """Weight map extended to negative losses with full weight 1."""
+    la = np.asarray(l, dtype=float)
+    inside = la >= 0
+    vals = np.asarray(reg.weight(lam, np.where(inside, la, 0.0)), dtype=float)
+    return np.where(inside, vals, 1.0)
 
 
 def _batch_width(support: int) -> int:
@@ -527,14 +490,12 @@ def balance_root(
     return _secant_shrink(balance, b, lo, f_lo, up, f_up, width, atol, rtol)
 
 
-def _halfspace_multiplier(reg, lam, l, region, j, atol=1e-10, rtol=0.0, start=None):
+def _halfspace_multiplier(reg, lam, l, region, j, atol=0.0, rtol=1e-15, start=None):
     """Least beta >= 0 with <weight_ext(l - beta * k), k> >= b, from the feasible side.
 
-    The dual multiplier search for the region's halfspace j, which
-    affine_action and the v-step's halfspace and intersection routes share;
-    atol defaults to the single halfspace's bracket.  The search scale is
-    ||l|| / ||k||, at least 1.  See balance_root for the tolerances, `start`
-    and NoRoot.
+    The multiplier search of halfspace j, shared by the single-halfspace route
+    (at the default relative bracket) and the intersection route, at search
+    scale max(1, ||l|| / ||k||); see balance_root for `start` and NoRoot.
     """
     support, vals, norm = region.normal(j)
     balance, width = support_balance(reg, lam, l, vals, support)
@@ -587,14 +548,45 @@ def _pooled_weights(reg, lam, sums, counts, parent):
     return np.asarray(reg.weight(lam, np.array(pooled)), dtype=float)[block]
 
 
-def _dual_single_halfspace(reg, lam, l, v0, region):
-    """The v-step under one halfspace that the unconstrained weights v0 miss."""
+def _binary_single_halfspace(reg, lam, l, v0, region):
+    """The v-step of a binary-weight penalty under one halfspace that v0 misses: (v, beta).
+
+    It is the LP min sum_i v_i (l_i - t) over the box and <k, v> >= b, t the
+    loss where a free weight switches: a fractional knapsack (Dantzig, 1957).
+    From v0, the samples that can close the deficit move in the order of their
+    cost per unit of <k, v>, (l_i - t) / k_i, each as far as it can, so only
+    the last may stay fractional; beta is its ratio.
+    """
+    support, vals, _ = region.normal(0)
+    vs = v0[support]
+    room = np.where(vals > 0, 1.0 - vs, vs) * np.abs(vals)  # the most each adds to <k, v>
+    r0, r1 = reg.r_sp_base(np.array([0.0, 1.0]))
+    ratio = (l[support] - lam * (r0 - r1)) / vals
+    order = np.flatnonzero(room > 0)
+    order = order[np.argsort(ratio[order], kind="stable")]
+    filled = np.cumsum(room[order])
+    deficit = region.offsets[0] - float(vals @ vs)
+    last = min(int(np.searchsorted(filled, deficit)), order.size - 1)
+    j = order[last]
+    vs[order[:last]] = vals[order[:last]] > 0
+    vs[j] = min(max(vs[j] + (deficit - (filled[last - 1] if last else 0.0)) / vals[j], 0.0), 1.0)
+    v0[support] = vs
+    return v0, float(ratio[j])
+
+
+def _single_halfspace(reg, lam, l, v0, region):
+    """The v-step under one halfspace that the free weights v0 miss: (v, beta).
+
+    Binary weights take the sort; other penalties the dual multiplier search,
+    whose beta is inf when b is the box maximum of <k, v>, forcing the weights.
+    """
+    if reg.binary_weights:
+        return _binary_single_halfspace(reg, lam, l, v0, region)
     h = region.halfspaces[0]
     if abs(h.b - region.caps[0]) <= 1e-12:
-        # b is the box maximum of <k, v>: every coordinate the normal reads is forced
         support, vals, _ = region.normal(0)
         v0[support] = vals > 0
-        return v0
+        return v0, math.inf
     memory = region._multipliers
     start = None if memory is None else memory[0]
     try:
@@ -603,7 +595,7 @@ def _dual_single_halfspace(reg, lam, l, v0, region):
         raise InfeasibleCurriculum(str(exc)) from None
     if memory is not None:
         memory[0] = beta
-    return weight_extended(reg, lam, l - beta * h.k)
+    return weight_extended(reg, lam, l - beta * h.k), beta
 
 
 def _dual_intersection(reg, lam, l, region):
@@ -631,36 +623,18 @@ def _dual_intersection(reg, lam, l, region):
         if float(slack.min()) >= -1e-9 and float(np.max(mu * np.abs(slack))) <= 1e-8:
             if memory is not None:
                 memory[:] = mu
-            return v
+            return v, mu
     raise InfeasibleCurriculum(
         "dual coordinate ascent did not reach KKT tolerance; region may be "
         "degenerate for this penalty"
     )
 
 
-def v_step(
-    l: np.ndarray,
-    lam: float,
-    reg: SPRegularizer,
-    region: CurriculumRegion | None = None,
-) -> np.ndarray:
-    """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
-
-    The route follows what the region holds, not its kind: nothing ->
-    elementwise weights; a partition, or pairwise orderings that form a
-    forest -> the weights of the pooled mean losses (_pooled_weights: a group
-    is one node of its size, an ordered sample one of size one); one other
-    halfspace -> its dual multiplier search, several -> dual coordinate
-    ascent over theirs (a safeguarded secant search per constraint, started
-    from the region's last multipliers when it is a warm_copy).  The dual
-    routes require a strictly convex penalty and so refuse the binary-weight
-    penalty.  Free weights that meet every halfspace are returned as they
-    are.  Every route takes its weights from reg.weight, which clips them
-    into [0, 1], or sets them to exactly 0 or 1.
-    """
+def _solve(l, lam, reg, region):
+    """The v-step's route: (weights, multipliers), multipliers None where it pools."""
     l = np.asarray(l, dtype=float)
     if region is None or not (region.halfspaces or region.partition):
-        return reg.weight(lam, l)  # which rejects negative losses
+        return reg.weight(lam, l), None  # which rejects negative losses
     if region.partition:
         if l.size and l.min() < 0:  # a block mean could hide a negative loss
             raise BadParam("losses must be nonnegative")
@@ -670,7 +644,7 @@ def v_step(
                 f"partition covers {labels.size} samples, but there are {l.size} losses"
             )
         sums = np.bincount(labels, weights=l, minlength=counts.size)
-        return _pooled_weights(reg, lam, sums, counts, ())[labels]
+        return _pooled_weights(reg, lam, sums, counts, ())[labels], None
     v0 = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
     if region.dim != l.size:
         raise BadParam(
@@ -683,71 +657,84 @@ def v_step(
             f"(maximum attainable is {region.caps[j]})"
         )
     if np.all(region.normal_dots(v0) >= region.offsets - 1e-12):
-        return v0
+        return v0, np.zeros(region.offsets.size)
     if region.forest is not None:  # samples outside the forest keep their free weights
         order, parent = region.forest
         v0[order] = _pooled_weights(reg, lam, l[order], np.ones(order.size), parent)
-        return v0
-    if reg.name == "hard":
+        return v0, None
+    if region.offsets.size == 1:
+        v, beta = _single_halfspace(reg, lam, l, v0, region)
+        return v, np.array([beta])
+    if reg.binary_weights:
         raise UnsupportedRegularizer(
-            "binary-weight penalty supports only groups and pairwise-order forests "
-            "among curriculum regions"
+            f"binary-weight penalty under an intersection of {region.offsets.size} halfspaces: "
+            "it takes one halfspace, groups or a pairwise-order forest"
         )
-    if len(region.halfspaces) == 1:
-        return _dual_single_halfspace(reg, lam, l, v0, region)
     return _dual_intersection(reg, lam, l, region)
+
+
+def v_step(
+    l: np.ndarray,
+    lam: float,
+    reg: SPRegularizer,
+    region: CurriculumRegion | None = None,
+) -> np.ndarray:
+    """Minimize <v, l> + lam * sum r_sp_base(v_i) over the region, exactly in [0,1]^n.
+
+    The route follows what the region holds, not its kind: nothing ->
+    elementwise weights; a partition, or orderings v_i >= v_j that form a
+    forest -> the weights of the pooled losses' isotonic regression
+    (_pooled_weights; Barlow, Bartholomew, Bremner & Brunk, 1972); one other
+    halfspace -> for binary weights (SPRegularizer.binary_weights) the sort
+    of _binary_single_halfspace, else the dual multiplier search; several ->
+    dual coordinate ascent (a secant search per multiplier, warm from a
+    warm_copy's last ones), which refuses binary weights.  Free weights that
+    meet every halfspace are returned as they are.
+    """
+    return _solve(l, lam, reg, region)[0]
 
 
 # ==== constrained latents =====================================================
 
 
-def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> CurriculumActionResult:
-    """Latent under a general halfspace { v : <k, v> >= b }.
+def _primal_value(reg, lam, l, v) -> float:
+    """<v, l> + lam * sum r_sp_base(v_i) - n * lam * min r: the latent at minimizing v."""
+    return float(v @ l) + lam * float(np.sum(reg.r_sp_base(v))) - v.size * lam * reg.r_base_min
 
-    Evaluates sup_{beta >= 0} F_ext(l - beta * k) + beta * b and returns it
-    with the minimizing weights and beta.  When the unconstrained weights
-    already satisfy the constraint the supremum sits at beta = 0.
-    Otherwise the optimal beta balances the scaled weights against the
-    offset, <weight_ext(l - beta * k), k> = b, and is bracketed on that
-    nondecreasing function to absolute tolerance 1e-10, from the side where
-    the weights meet the constraint.  Raises NoRoot when no beta achieves
-    the balance (the supremum diverges), and BadParam on negative losses.
-    Unlike the v-step's halfspace route it accepts the binary-weight penalty.
+
+def region_latent(reg: SPRegularizer, lam: float, l, region: CurriculumRegion | None):
+    """(value, weights, multipliers) of the v-step's route (_solve): the constrained latent
+    is the primal at its weights, +inf where it forces a weight outside the penalty's domain."""
+    v, multipliers = _solve(l, lam, reg, region)
+    return _primal_value(reg, lam, l, v), v, multipliers
+
+
+def affine_action(reg: SPRegularizer, lam: float, l, h: Halfspace) -> CurriculumActionResult:
+    """Latent under a general halfspace { v : <k, v> >= b }, hard included.
+
+    The weights and beta come from the v-step's single-halfspace route (for
+    an ordering too; beta is 0 when the free weights meet the constraint),
+    valued like region_latent.  Raises NoRoot when no box weights meet it
+    (the dual supremum diverges), and BadParam on negative losses.
     """
     l = np.asarray(l, dtype=float)
     if l.shape != h.k.shape:
         raise BadParam(f"loss shape {l.shape} does not match normal shape {h.k.shape}")
 
     w = np.asarray(reg.weight(lam, l), dtype=float)  # rejects negative losses
-    beta = 0.0
+    region, beta = CurriculumRegion("halfspace", (h,)), 0.0
     side = "unaffected" if float(w @ h.k) >= h.b - 1e-12 else "penalized"
     if side == "penalized":
-        region = CurriculumRegion("halfspace", (h,))
-        if region.unreachable.size:  # b exceeds the balance's limit as beta grows
-            raise NoRoot(
-                f"offset b={h.b} exceeds the attainable weight balance {region.caps[0]}; "
-                "the constrained latent diverges"
-            )
-        beta = _halfspace_multiplier(reg, lam, l, region, 0)
-        w = weight_extended(reg, lam, l - beta * h.k)
-    value = float(np.sum(latent_extended(reg, lam, l - beta * h.k))) + beta * h.b
-    return CurriculumActionResult(value, w, beta, side)
+        if region.unreachable.size:
+            raise NoRoot(f"offset b={h.b} exceeds the attainable balance {region.caps[0]}")
+        w, beta = _single_halfspace(reg, lam, l, w, region)
+    return CurriculumActionResult(_primal_value(reg, lam, l, w), w, beta, side)
 
 
 def group_latent(
     reg: SPRegularizer, lam: float, l, partition: Sequence[Sequence[int]]
 ) -> CurriculumActionResult:
-    """Latent when weights are constant within each block of a partition.
-
-    Each block of size s with mean loss m contributes s * latent(lam, m),
-    and every sample in the block takes the weight of the block mean, from
-    the v-step's groups route (which checks the partition and the losses).
-    """
-    l = np.asarray(l, dtype=float)
-    region = CurriculumRegion("groups", partition=partition)
-    weights = v_step(l, lam, reg, region)
-    labels, counts = region.group_labels
-    means = np.bincount(labels, weights=l, minlength=counts.size) / counts
-    per_block = counts * np.asarray(reg.latent(lam, means), dtype=float)
-    total = float(sum(per_block))  # a running sum in block order
-    return CurriculumActionResult(total, weights, None, "-")
+    """Latent when weights are constant within each block of a partition: the
+    groups route's weights (block-mean weights), valued like region_latent."""
+    value, weights, _ = region_latent(reg, lam, l, CurriculumRegion("groups", partition=partition))
+    return CurriculumActionResult(value, weights, None, "-")

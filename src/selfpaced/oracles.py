@@ -24,7 +24,6 @@ from .curriculum import (
     CurriculumActionResult,
     CurriculumRegion,
     check_partition,
-    latent_extended,
     weight_extended,
 )
 from .errors import (
@@ -160,6 +159,15 @@ def random_concave(
 
 
 # ==== curriculum references ===================================================
+
+
+def latent_extended(reg: SPRegularizer, lam: float, l):
+    """Joint latent extended to negative losses l by l itself (weight pinned at 1),
+    exact whenever a zero loss receives full weight; the ray search reads it."""
+    la = np.asarray(l, dtype=float)
+    pos = np.where(la >= 0, la, 0.0)
+    vals = np.asarray(reg.latent(lam, pos), dtype=float)
+    return np.where(la >= 0, vals, la)
 
 
 def critical_region_side(

@@ -192,6 +192,17 @@ class SPRegularizer:
                 hi = mid
         return 0.5 * (lo + hi)
 
+    @cached_property
+    def binary_weights(self) -> bool:
+        """Whether the penalty is finite at 0 and 1 and affine on the graded unit
+        grid: then every free weight is 0 or 1, and a v-step is a linear program."""
+        vv = graded_unit_grid(_DEFAULT_GRID_N)
+        rv = _sample_or_inf(self.r_sp_base, vv)
+        tol = 1e-12 * (1.0 + abs(rv[0]) + abs(rv[-1]))
+        if not math.isfinite(tol):
+            return False
+        return bool(np.all(np.abs(rv - rv[0] - (rv[-1] - rv[0]) * vv) <= tol))
+
     # -- scaled views -----------------------------------------------------------
 
     def _check_age(self, lam: float) -> float:

@@ -315,13 +315,26 @@ def test_curriculum_one_halfspace_intersection_writes_the_halfspace_lattice(tmp_
     assert (tmp_path / "one" / "lattice.csv").read_bytes() == lattice
 
 
-def test_curriculum_rejects_two_halfspaces(tmp_path, capsys):
+def test_curriculum_lattice_under_two_halfspaces_matches_the_grid(tmp_path, capsys):
     config = tmp_path / "config.json"
     hs = [{"k": [1, -1], "b": 0}, {"k": [1, 0], "b": 0.5}]
     config.write_text(json.dumps({"region": {"kind": "intersection", "halfspaces": hs}}))
-    code = main(["curriculum", "--config", str(config), "--grid", "5", "--out", str(tmp_path)])
-    assert code == 1
-    assert "at most one halfspace" in capsys.readouterr().err
+    region = CurriculumRegion.from_dict({"kind": "intersection", "halfspaces": hs})
+    for reg in catalog():
+        out = tmp_path / reg.name
+        code = main(["curriculum", "--config", str(config), "--regularizer", reg.name,
+                     "--grid", "5", "--out", str(out)])
+        if reg.name == "hard":  # binary weights take one halfspace at most
+            assert code == 2
+            assert "intersection of 2 halfspaces" in capsys.readouterr().err
+            continue
+        assert code == 0
+        for l, _, fnew, side in read_lattice(out / "lattice.csv"):
+            weights = reg.weight(1.0, l)
+            free = weights[0] >= weights[1] and weights[0] >= 0.5
+            assert side == ("unaffected" if free else "penalized")
+            ref = curriculum_action_numeric(reg, 1.0, l, region)
+            assert fnew == pytest.approx(ref.value, abs=1e-3)
 
 
 # ==== fit =====================================================================
@@ -434,6 +447,19 @@ def test_fit_group_region_from_flags(tmp_path):
 
 
 # ==== compare =================================================================
+
+
+@pytest.mark.parametrize("names", ["hard", "hard,exp"])
+def test_compare_config_string_of_regularizers_splits_on_commas(tmp_path, names):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"regularizers": names}))
+    out = tmp_path / "c"
+    code = main(["compare", "--config", str(config), "--n", "30", "--d", "2", "--seeds", "1",
+                 "--stages", "2", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["regularizers"] == names.split(",")
+    assert set(summary["wins"]) == set(names.split(","))
 
 
 def test_compare_writes_deterministic_summary(tmp_path):
@@ -559,6 +585,17 @@ def test_mistyped_numeric_config_value_exits_one_naming_the_key(tmp_path, capsys
     assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and next(iter(file_cfg)) in err
+
+
+@pytest.mark.parametrize("value", ["false", 1, 0, None])
+def test_bool_config_key_takes_only_true_or_false(tmp_path, capsys, value):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"cross_check": value}) + "\n")
+    args = ["fit", "--config", str(cfg), "--dataset", DATASET, "--out", str(tmp_path / "o")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cross_check" in err
+    assert not (tmp_path / "o" / "result.json").exists()
 
 
 def test_integral_numbers_fill_int_keys_and_ints_fill_float_keys(tmp_path):

@@ -11,7 +11,6 @@ from selfpaced.curriculum import (
     affine_action,
     check_partition,
     group_latent,
-    latent_extended,
     weight_extended,
 )
 from selfpaced.errors import (
@@ -27,6 +26,7 @@ from selfpaced.oracles import (
     curriculum_action_numeric,
     homogeneous_action_ray,
     homogeneous_closed_form,
+    latent_extended,
 )
 from selfpaced.regularizers import get_regularizer
 

@@ -200,9 +200,14 @@ def test_v_step_hard_chain_orders_selections():
     assert np.allclose(got2, [1.0, 0.0])
 
 
-def test_v_step_hard_rejects_general_halfspaces():
-    region = CurriculumRegion("halfspace", halfspaces=(Halfspace(np.array([1.0, 0.5]), 0.2),))
-    with pytest.raises(UnsupportedRegularizer):
+def test_v_step_hard_solves_one_general_halfspace_and_refuses_two():
+    h = Halfspace(np.array([1.0, 0.5]), 0.2)
+    # min v_0 + 2 v_1 subject to v_0 + v_1 / 2 >= 0.2: v_0 closes the deficit
+    # at cost 1 per unit, v_1 at cost 4
+    got = v_step(np.array([2.0, 3.0]), 1.0, HARD, CurriculumRegion("halfspace", (h,)))
+    assert np.allclose(got, [0.2, 0.0], rtol=0, atol=1e-15)
+    region = CurriculumRegion("intersection", (h, Halfspace(np.array([0.0, 1.0]), 0.1)))
+    with pytest.raises(UnsupportedRegularizer, match="intersection of 2 halfspaces"):
         v_step(np.array([2.0, 3.0]), 1.0, HARD, region)
 
 
@@ -573,11 +578,10 @@ def region_of_kind(kind, n):
 
 @pytest.mark.parametrize("kind", ["none", "groups", "chain", "halfspace", "intersection"])
 def test_extrapolated_alternation_keeps_the_latent_trace_nonincreasing(kind):
-    dual = kind in ("halfspace", "intersection")
     worst = -math.inf
     for reg in catalog():
-        if reg.name == "hard" and dual:
-            continue  # binary weights take only pairwise-order chains
+        if reg.name == "hard" and kind == "intersection":
+            continue  # binary weights take one halfspace, groups and order forests
         schedule = {"stages": 8}
         if reg.name == "log" and kind == "intersection":
             # the median schedule starts log near age 1e-7, where dual

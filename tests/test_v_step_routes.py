@@ -16,6 +16,7 @@ from selfpaced.curriculum import (
     affine_action,
     balance_root,
     group_latent,
+    region_latent,
     support_balance,
     weight_extended,
 )
@@ -26,13 +27,21 @@ from selfpaced.errors import (
     UnsupportedRegularizer,
 )
 from selfpaced.experiments import make_regression
-from selfpaced.oracles import GridSpec, grid_constrained_inf
-from selfpaced.regularizers import SPRegularizer, catalog, get_regularizer
+from selfpaced.oracles import GridSpec, grid_constrained_inf, latent_extended
+from selfpaced.regularizers import (
+    SPRegularizer,
+    catalog,
+    design_from_regularizer,
+    design_from_weight,
+    get_regularizer,
+)
 from selfpaced.training import TrainConfig, spl_fit, v_step
 
 EXP = get_regularizer("exp")
 HARD = get_regularizer("hard")
 STRICT = [r for r in catalog() if r.name != "hard"]
+NEG_LINEAR = design_from_regularizer(HARD.r_sp_base)  # hard's designed twin
+BINARY = [HARD, NEG_LINEAR]
 
 
 # ==== references ==============================================================
@@ -529,6 +538,73 @@ def test_bracket_stops_at_rounding_when_the_tolerance_is_below_it():
     assert v_step(l, 1.0, EXP, region)[0] == pytest.approx(0.5, abs=1e-8)
 
 
+# ==== binary weights under one halfspace ======================================
+
+
+def test_binary_weights_is_read_from_the_penalty():
+    step = design_from_weight(HARD.weight_base)
+    assert [r.binary_weights for r in (HARD, NEG_LINEAR)] == [True, True]
+    assert not any(r.binary_weights for r in (*STRICT, step))
+
+
+def offset_problems(rng, reg, count):
+    """Losses and one halfspace of mixed signs that the free weights miss, n = 2..7."""
+    while count:
+        n = int(rng.integers(2, 8))
+        l = rng.uniform(0.0, 3.0, size=n)
+        k = rng.normal(size=n) * (rng.uniform(size=n) < 0.8)
+        free, cap = float(reg.weight(1.0, l) @ k), float(np.maximum(k, 0.0).sum())
+        if cap - free > 1e-3:
+            count -= 1
+            yield l, Halfspace(k, free + rng.uniform(0.05, 1.0) * (cap - free))
+
+
+@pytest.mark.parametrize("reg", BINARY, ids=["hard", "neg-linear"])
+def test_binary_halfspace_v_step_is_the_grid_minimum_at_n_up_to_3(reg):
+    # normals of +-1 and +-0.5 with offsets on quarters put every vertex of
+    # the feasible box on the grid's eighths, so the LP optimum is there
+    problems = (
+        (np.array([2.0, 3.0]), np.array([1.0, 0.5]), 0.25, 1.0),
+        (np.array([0.4, 2.0]), np.array([-1.0, 1.0]), 0.25, 1.0),
+        (np.array([2.5, 0.3, 1.8]), np.array([1.0, -0.5, 1.0]), 0.25, 1.0),
+        (np.array([3.0, 1.2, 0.6]), np.array([0.5, 1.0, -1.0]), 1.25, 1.5),
+    )
+    for l, k, b, lam in problems:
+        got = v_step(l, lam, reg, CurriculumRegion("halfspace", (Halfspace(k, b),)))
+
+        def objective(v):
+            return float(v @ l + lam * np.sum(reg.r_sp_base(v)))
+
+        value, _, _ = grid_constrained_inf(
+            objective, GridSpec.unit_box(l.size, count=9),
+            feasible=lambda v: float(v @ k) >= b - 1e-12,
+        )
+        assert float(got @ k) >= b - 1e-12
+        assert objective(got) == pytest.approx(value, abs=1e-9)
+
+
+@pytest.mark.parametrize("reg", BINARY, ids=["hard", "neg-linear"])
+def test_binary_halfspace_v_step_is_the_lp_optimum(reg):
+    rng = np.random.default_rng(71)
+    for l, h in offset_problems(rng, reg, 120):
+        value, got, beta = region_latent(reg, 1.0, l, CurriculumRegion("halfspace", (h,)))
+        assert float(got @ h.k) >= h.b - 1e-12
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.count_nonzero((got > 0.0) & (got < 1.0)) <= 1
+        action = affine_action(reg, 1.0, l, h)
+        assert action.value == pytest.approx(value, abs=1e-12)
+        assert action.beta == pytest.approx(beta[0], abs=1e-12)
+        # the dual value at beta equals the primal: both are optimal
+        dual = float(np.sum(latent_extended(reg, 1.0, l - beta[0] * h.k))) + beta[0] * h.b
+        assert dual == pytest.approx(value, abs=1e-9)
+
+
+def test_designed_binary_weights_under_two_halfspaces_are_refused():
+    hs = (Halfspace(np.array([1.0, 0.5]), 0.2), Halfspace(np.array([0.0, 1.0]), 0.1))
+    with pytest.raises(UnsupportedRegularizer, match="intersection of 2 halfspaces"):
+        v_step(np.array([2.0, 3.0]), 1.0, NEG_LINEAR, CurriculumRegion("intersection", hs))
+
+
 # ==== warm starts =============================================================
 
 
@@ -676,7 +752,7 @@ def test_warm_halfspace_v_step_makes_few_balance_calls(monkeypatch):
         calls.clear()
         got = v_step(l, lam, EXP, warm)
         assert len(calls) <= 4
-        # both betas lie within the 1e-10 bracket tolerance of the root, and
+        # both betas lie within the relative 1e-15 bracket of the root, and
         # exp's weights move by at most 1/lam per unit of beta
         assert np.allclose(got, v_step(l, lam, EXP, region), rtol=0, atol=1e-10 / lam)
         assert_feasible(got, region)
