@@ -154,9 +154,18 @@ def _settings(args, defaults: dict, where: str) -> dict:
     return {**defaults, **file_cfg, **flags}
 
 
+def _strict_json(value):
+    """value with every non-finite float replaced by None: strict JSON writes it as null."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, payload: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

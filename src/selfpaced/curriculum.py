@@ -16,7 +16,7 @@ import copy
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -32,12 +32,6 @@ from .errors import (
     UnsupportedRegularizer,
 )
 from .regularizers import SPRegularizer
-
-# a batched balance evaluation takes at most this many betas, and at most this
-# many weight lookups in all (betas times the support of the normal)
-_BATCH_POINTS = 64
-_BATCH_ELEMENTS = 2**16
-
 
 # ==== regions =================================================================
 
@@ -211,7 +205,7 @@ class CurriculumRegion:
 
         The halfspace and intersection routes read each halfspace's last
         multiplier from the copy and write the new one back, so a run of
-        v-steps on nearby losses brackets every root in a few evaluations.
+        v-steps on nearby losses starts every search next to its root.
         Regions without halfspaces are returned as they are.  The copy shares
         the decoded forms already computed.
         """
@@ -322,185 +316,70 @@ def weight_extended(reg: SPRegularizer, lam: float, l):
     return np.where(inside, vals, 1.0)
 
 
-def _batch_width(support: int) -> int:
-    """Betas per batched balance evaluation for a normal with this support."""
-    return max(1, min(_BATCH_POINTS, _BATCH_ELEMENTS // max(support, 1)))
+def _halfspace_multiplier(reg, lam, l, region, j, start=None) -> float:
+    """The least float beta >= 0 where halfspace j's nondecreasing balance
+    B(beta) = <weight_ext(l - beta * k), k> meets its offset b:
+    B(beta) >= b > B(nextafter(beta, 0)), or 0 when B(0) >= b.
 
-
-def support_balance(
-    reg: SPRegularizer, lam: float, l: np.ndarray, k: np.ndarray, support=None
-):
-    """The weight balance beta -> <weight_ext(l - beta * k), k>, batched.
-
-    Returns the balance, which maps an array of betas to an array of
-    balances, and the batch width for it.  The balance is nondecreasing in
-    beta and only reads the support of k, so each call costs one
-    weight_extended lookup of (betas x support) values.  k is the dense
-    normal, or, when its support is given, the normal's entries there.
-    """
-    if support is None:
-        support = np.flatnonzero(k)
-        k = k[support]
-    ls, ks = l[support], k
-
-    def balance(betas):
-        shifted = ls - np.multiply.outer(np.asarray(betas, dtype=float), ks)
-        w = weight_extended(reg, lam, shifted.ravel()).reshape(shifted.shape)
-        return w @ ks
-
-    return balance, _batch_width(support.size)
-
-
-@lru_cache(maxsize=None)
-def _fractions(m: int) -> np.ndarray:
-    """(1, ..., m) / (m + 1): where m evenly spaced points split a bracket."""
-    t = np.arange(1, m + 1) / (m + 1)
-    t.flags.writeable = False
-    return t
-
-
-def _narrow(balance, b, pts, lo, f_lo, hi, f_hi):
-    """Evaluate the sorted pts in one call and keep the sub-bracket straddling b.
-
-    (lo, f_lo) and (hi, f_hi) are the bracket's ends and their balances;
-    returns the new ones.
-    """
-    vals = balance(pts)
-    meets = vals >= b
-    j = int(meets.argmax())
-    if not meets[j]:
-        j = pts.size
-    if j > 0:
-        lo, f_lo = float(pts[j - 1]), float(vals[j - 1])
-    if j < pts.size:
-        hi, f_hi = float(pts[j]), float(vals[j])
-    return lo, f_lo, hi, f_hi
-
-
-def _bisect_round(balance, b, lo, f_lo, hi, f_hi, width):
-    """_narrow at `width` evenly spaced interior points of the bracket."""
-    t = _fractions(width)
-    return _narrow(balance, b, (1.0 - t) * lo + t * hi, lo, f_lo, hi, f_hi)
-
-
-def _secant_shrink(balance, b, lo, f_lo, hi, f_hi, width, atol, rtol):
-    """Shrink a bracket f_lo < b <= f_hi to its feasible end, superlinearly.
-
-    Each round is one call.  It evaluates the secant point s of the bracket,
-    kept at least tol / 2 inside it, with the offsets s -+ tol * 4**j / 64
-    that straddle it, where tol = max(atol, rtol * s); they close the
-    bracket from both sides, to well inside tol once s is that close to the
-    root.  Evenly spaced points fill the rest of the batch.  The secant uses
-    the Illinois modification (an end kept twice in a row has its residual
-    halved), and when three rounds leave the bracket wider than half its
-    width before them, one bisection round follows, so a balance with kinks
-    or steps still converges.  Returns the feasible end hi.
-    """
-    scales = 4.0 ** np.arange((width - 1) // 2) / 64.0
-    signed = np.concatenate((-scales[::-1], [0.0], scales))
-    g_lo, g_hi = f_lo - b, f_hi - b  # residuals, Illinois-scaled
-    kept = 0  # the end the last round kept: -1 lo, 1 hi, 0 neither
-    before = [math.inf, math.inf]  # the bracket's width before the last two rounds
-    while hi - lo > max(atol, rtol * hi):
-        start = (lo, hi)
-        s = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        tol = max(atol, rtol * s)
-        s = min(max(s, lo + 0.5 * tol), hi - 0.5 * tol)  # a step of at least tol / 2
-        pts = s + tol * signed
-        pts = pts[(lo < pts) & (pts < hi)]
-        fill = width - pts.size
-        if fill:
-            pts = np.sort(np.concatenate((pts, lo + (hi - lo) * _fractions(fill))))
-        lo, f_lo, hi, f_hi = _narrow(balance, b, pts, lo, f_lo, hi, f_hi)
-        now = (lo != start[0]) - (hi != start[1])  # 1: only lo moved, -1: only hi
-        g_lo = g_lo * 0.5 if now == -1 and kept == -1 else f_lo - b
-        g_hi = g_hi * 0.5 if now == 1 and kept == 1 else f_hi - b
-        kept = now
-        if hi - lo > 0.5 * before[0]:  # three rounds without halving
-            lo, f_lo, hi, f_hi = _bisect_round(balance, b, lo, f_lo, hi, f_hi, width)
-            if (lo, hi) == start:
-                break  # the bracket is down to rounding
-            g_lo, g_hi, kept = f_lo - b, f_hi - b, 0
-        before = [before[1], start[1] - start[0]]
-    return hi
-
-
-# the cold search tries 0 and hi * 8**j from j = -12 on; its first call stops
-# at j = 9, which brackets any root up to hi * 8**9 within a factor 8.  A warm
-# start beta0 first tries 0 and beta0 * (1 -+ 2**-j), j = 1..20, 2 beta0 and
-# 4 beta0, which brackets a root that moved by under half of beta0.
-_LADDER = 8.0 ** np.arange(-12, 67)
-_LADDER_FIRST = 22
-_CLUSTER = np.concatenate(
-    (1.0 - 2.0 ** -np.arange(1, 21), 1.0 + 2.0 ** -np.arange(20, 0, -1), [2.0, 4.0])
-)
-
-
-def _candidates(hi: float, top: float, start: float | None):
-    """The sorted sets of betas that balance_root searches in turn, none above top."""
-    if start is not None and start > 0:
-        cluster = start * _CLUSTER
-        yield cluster[cluster <= top]
-    ladder = hi * _LADDER
-    ladder = np.append(ladder[ladder < top], top)
-    yield ladder[:_LADDER_FIRST]
-    yield ladder[_LADDER_FIRST:]
-
-
-def balance_root(
-    balance,
-    b: float,
-    hi: float,
-    width: int,
-    atol: float,
-    rtol: float = 0.0,
-    max_doublings: int = 200,
-    start: float | None = None,
-) -> float:
-    """Least beta >= 0 with balance(beta) >= b, returned from the feasible side.
-
-    Returns 0 when balance(0) >= b.  Otherwise brackets the root and returns
-    the feasible end of a bracket no wider than max(atol, rtol * end).  The
-    first batched call evaluates 0 with a cluster around `start` when one
-    is given (> 0), else with a geometric ladder from hi * 8**-12 to hi * 8**9;
-    when the cluster misses the root, the ladder follows.  A set larger than
-    the batch `width` is searched `width` points at a time, spread evenly
-    over the points still in question.  The bracket then shrinks by
-    safeguarded secant rounds.  Raises NoRoot when the balance stays below b
-    up to hi * 2**max_doublings.
-    """
-    lo, f_lo, up, f_up = -math.inf, math.nan, math.inf, math.nan
-    for pts in _candidates(hi, hi * 2.0**max_doublings, start):
-        inside = pts[(lo < pts) & (pts < up)]
-        while inside.size:
-            first = lo < 0  # the first call also decides beta = 0
-            m = min(width - first, inside.size)
-            pick = inside[(np.arange(1, m + 1) * (inside.size + 1)) // (m + 1) - 1]
-            if first:
-                pick = np.concatenate(([0.0], pick))
-            lo, f_lo, up, f_up = _narrow(balance, b, pick, lo, f_lo, up, f_up)
-            if up == 0.0:
-                return 0.0
-            inside = pts[(lo < pts) & (pts < up)]
-        # a bracket [0, up] means the cluster lay above the root: use the ladder
-        if lo > 0 and up < math.inf:
-            break
-    if up == math.inf:
-        raise NoRoot("weight balance never reaches the offset b along the ray")
-    return _secant_shrink(balance, b, lo, f_lo, up, f_up, width, atol, rtol)
-
-
-def _halfspace_multiplier(reg, lam, l, region, j, atol=0.0, rtol=1e-15, start=None):
-    """Least beta >= 0 with <weight_ext(l - beta * k), k> >= b, from the feasible side.
-
-    The multiplier search of halfspace j, shared by the single-halfspace route
-    (at the default relative bracket) and the intersection route, at search
-    scale max(1, ||l|| / ||k||); see balance_root for `start` and NoRoot.
+    Each beta costs one weight_extended call on the normal's support.  Steps
+    by factors 1 + d, d growing 8-fold, bracket the root: from `start` (> 0,
+    clamped into [s * 8**-12, s * 2**200]) with d = 2**-10, else from the
+    scale s = max(1, ||l|| / ||k||) with d = 7.  Illinois secant steps shrink
+    the bracket; each aims past the root, by the rounding of a balance, toward
+    the end the last step kept, so both ends close in.  A step that would
+    leave the bracket, or follow three that left it wider than half its
+    width, bisects.  Stops when no float lies between the ends, and raises
+    NoRoot when B(s * 2**200) < b.
     """
     support, vals, norm = region.normal(j)
-    balance, width = support_balance(reg, lam, l, vals, support)
-    hi = max(1.0, float(np.linalg.norm(l)) / norm)
-    return balance_root(balance, region.offsets[j], hi, width, atol, rtol, start=start)
+    ls, b = l[support], float(region.offsets[j])
+
+    def residual(beta):
+        return float(weight_extended(reg, lam, ls - beta * vals) @ vals) - b
+
+    warm = start is not None and start > 0
+    g_lo = math.nan if warm else residual(0.0)  # at lo = 0; a warm search reads it last
+    if g_lo >= 0.0:
+        return 0.0
+    scale = max(1.0, float(np.linalg.norm(l)) / norm)
+    floor, top = scale * 8.0**-12, scale * 2.0**200
+    x, d = (min(max(float(start), floor), top), 2.0**-10) if warm else (scale, 7.0)
+    lo, hi = 0.0, math.inf
+    while True:  # bracket the root: g_lo < 0 <= g_hi
+        g = residual(x)
+        if g < 0.0:
+            lo, g_lo = x, g
+        else:
+            hi, g_hi = x, g
+        if hi == math.inf:
+            if x >= top:
+                raise NoRoot("weight balance never reaches the offset b along the ray")
+            x = min(x * (1.0 + d), top)
+        elif lo == 0.0 and hi / (1.0 + d) > floor:
+            x = hi / (1.0 + d)
+        else:
+            break
+        d *= 8.0
+    if math.isnan(g_lo):  # every step of a warm search was feasible
+        g_lo = residual(0.0)
+        if g_lo >= 0.0:
+            return 0.0
+    kept = 0  # the end the last secant step kept: -1 lo, 1 hi, 0 neither
+    widths = [math.inf] * 3  # the bracket's width before each of the last three steps
+    rounding = 2.0**-53 * float(np.abs(vals).sum())
+    while math.nextafter(lo, math.inf) < hi:
+        x = lo + (hi - lo) * ((g_lo - kept * rounding) / (g_lo - g_hi))
+        bisect = not lo < x < hi or hi - lo > 0.5 * widths[0]
+        widths = [*widths[1:], hi - lo]
+        if bisect:
+            x = lo + 0.5 * (hi - lo)
+        g = residual(x)
+        if g < 0.0:
+            lo, g_lo, g_hi = x, g, g_hi * 0.5 if kept == 1 else g_hi
+        else:
+            hi, g_hi, g_lo = x, g, g_lo * 0.5 if kept == -1 else g_lo
+        kept = 0 if bisect else 1 if g < 0.0 else -1
+    return hi
 
 
 # ==== the v-step ==============================================================
@@ -610,9 +489,7 @@ def _dual_intersection(reg, lam, l, region):
             l_eff = l - region.normal_mix(other)
             try:
                 # the feasible side for this constraint, searched from its last value
-                mu[j] = _halfspace_multiplier(
-                    reg, lam, l_eff, region, j, 1e-12, 1e-12, start=mu[j]
-                )
+                mu[j] = _halfspace_multiplier(reg, lam, l_eff, region, j, start=mu[j])
             except NoRoot:
                 raise InfeasibleCurriculum(
                     "dual ascent cannot satisfy a halfspace; region may be "
@@ -687,8 +564,9 @@ def v_step(
     (_pooled_weights; Barlow, Bartholomew, Bremner & Brunk, 1972); one other
     halfspace -> for binary weights (SPRegularizer.binary_weights) the sort
     of _binary_single_halfspace, else the dual multiplier search; several ->
-    dual coordinate ascent (a secant search per multiplier, warm from a
-    warm_copy's last ones), which refuses binary weights.  Free weights that
+    dual coordinate ascent, which refuses binary weights.  Both dual routes
+    search each multiplier alike (_halfspace_multiplier), to the least
+    feasible float, warm from a warm_copy's last ones.  Free weights that
     meet every halfspace are returned as they are.
     """
     return _solve(l, lam, reg, region)[0]

@@ -65,7 +65,7 @@ class UnsupportedRegularizer(SelfPacedError):
 
 
 class NoRoot(SelfPacedError):
-    """Bisection could not bracket a root of the monotone scalar map."""
+    """A halfspace's weight balance never reaches its offset: no multiplier meets it."""
 
 
 class BadPartition(SelfPacedError):

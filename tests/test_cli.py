@@ -259,6 +259,19 @@ def test_curriculum_diverging_homogeneous_latent_is_written_as_inf(tmp_path):
     assert all(fnew == math.inf and side == "penalized" for _, _, fnew, side in rows)
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_curriculum_summary_writes_an_infinite_excess_as_null(tmp_path):
+    out = tmp_path / "lat"
+    code = main(["curriculum", "--regularizer", "log", "--k=0,-1", "--b", "0",
+                 "--grid", "5", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["max_excess"] is None
+
+
 def test_curriculum_offset_above_the_box_cap_exits_two(tmp_path):
     code = main(["curriculum", "--regularizer", "exp", "--k", "1,-1", "--b", "1.5",
                  "--grid", "5", "--out", str(tmp_path)])

@@ -14,17 +14,17 @@ from selfpaced.conjugacy import Halfspace
 from selfpaced.curriculum import (
     CurriculumRegion,
     affine_action,
-    balance_root,
     group_latent,
     region_latent,
-    support_balance,
     weight_extended,
 )
 from selfpaced.errors import (
     BadParam,
     BadPartition,
     InfeasibleCurriculum,
+    NoRoot,
     UnsupportedRegularizer,
+    WeightTail,
 )
 from selfpaced.experiments import make_regression
 from selfpaced.oracles import GridSpec, grid_constrained_inf, latent_extended
@@ -372,23 +372,108 @@ def test_a_sample_with_two_parents_takes_the_dual_route():
         v_step(l, 1.0, HARD, region)
 
 
-# ==== the bracket helper ======================================================
+# ==== the multiplier search ==================================================
 
 
-def test_batch_width_stays_within_the_element_budget():
-    for support in (1, 2, 22, 1023, 1024, 1025, 2**16, 10**5):
-        width = curriculum._batch_width(support)
-        assert 1 <= width <= 64
-        assert width == 1 or width * support <= 2**16
-    assert curriculum._batch_width(22) == 64
-    assert curriculum._batch_width(10**5) == 1
+def one_halfspace(k, b):
+    return CurriculumRegion("halfspace", (Halfspace(np.asarray(k, dtype=float), b),))
+
+
+def multiplier(reg, lam, l, region, start=None):
+    return curriculum._halfspace_multiplier(
+        reg, lam, np.asarray(l, dtype=float), region, 0, start=start
+    )
+
+
+def computed_balance(reg, lam, l, region):
+    """beta -> B(beta), computed on the normal's support as the search does."""
+    support, vals, _ = region.normal(0)
+    return lambda beta: float(weight_extended(reg, lam, l[support] - beta * vals) @ vals)
+
+
+def assert_least_feasible(balance, b, beta):
+    assert balance(beta) >= b
+    if beta > 0.0:
+        assert balance(np.nextafter(beta, 0.0)) < b
+
+
+def recorded_balance_calls(monkeypatch):
+    """Every array of losses that curriculum's weight_extended is called on, in order."""
+    calls = []
+
+    def recorded(reg, lam, l):
+        calls.append(np.array(l, dtype=float))
+        return weight_extended(reg, lam, l)
+
+    monkeypatch.setattr(curriculum, "weight_extended", recorded)
+    return calls
 
 
 def test_balance_root_returns_zero_when_already_met_and_raises_when_unreachable():
-    balance, width = support_balance(EXP, 1.0, np.array([0.5, 1.0]), np.array([1.0, 0.0]))
-    assert balance_root(balance, 0.1, 1.0, width, 1e-10) == 0.0
-    with pytest.raises(curriculum.NoRoot):
-        balance_root(balance, 1.5, 1.0, width, 1e-10, max_doublings=10)
+    l = np.array([0.5, 1.0])
+    assert multiplier(EXP, 1.0, l, one_halfspace([1.0, 0.0], 0.1)) == 0.0
+    with pytest.raises(NoRoot):
+        multiplier(EXP, 1.0, l, one_halfspace([1.0, 0.0], 1.5))
+
+
+def test_balance_root_with_a_start_keeps_the_zero_and_no_root_cases():
+    l = np.array([0.5, 1.0])
+    for start in (None, 0.0, 1e-300, 0.3, 1e12):
+        assert multiplier(EXP, 1.0, l, one_halfspace([1.0, 0.0], 0.1), start) == 0.0
+        with pytest.raises(NoRoot):
+            multiplier(EXP, 1.0, l, one_halfspace([1.0, 0.0], 1.5), start)
+
+
+@pytest.mark.parametrize("start", [None, 5.0, 1e-3, 2000.0])
+def test_balance_root_raises_no_root_exactly_above_the_last_doubling(start, monkeypatch):
+    # the search gives up past s * 2**200, s = max(1, ||l|| / ||k||)
+    l = np.array([3.0, 5.0])
+    top = float(np.linalg.norm(l)) * 2.0**200  # ||k|| = 1 below
+    for share, found in ((0.99, True), (1.01, False)):
+        # hard's weight of sample 0 jumps where 3 - beta * eps falls below 1
+        eps = 2.0 / (share * top)
+        region = one_halfspace([eps, -1.0], 0.5 * eps)
+        if found:
+            beta = multiplier(HARD, 1.0, l, region, start)
+            assert beta == pytest.approx(share * top, rel=1e-15)
+            assert_least_feasible(computed_balance(HARD, 1.0, l, region), 0.5 * eps, beta)
+        else:
+            with pytest.raises(NoRoot):
+                multiplier(HARD, 1.0, l, region, start)
+    # a weight whose tail stays at 1/2 keeps w(l_0 - beta) - w(l_1 + beta) below
+    # 0.7 for every beta: the search looks up to s * 2**200, and no further
+    with pytest.warns(WeightTail):
+        tail = design_from_weight(lambda x: 0.5 + 0.5 * np.exp(-np.asarray(x, dtype=float)))
+    calls = recorded_balance_calls(monkeypatch)
+    with pytest.raises(NoRoot):
+        multiplier(tail, 1.0, l, one_halfspace([1.0, -1.0], 0.7), start)
+    betas = [x[1] - l[1] for x in calls]  # sample 1's loss is l_1 + beta
+    assert max(betas) == pytest.approx(top / np.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("support", [1, 7, 64])
+def test_balance_root_finds_the_jump_of_a_step_balance_from_any_start(support):
+    # a staircase: hard's weight of sample i jumps to 1 past beta = 2.25 + i / 2
+    l = 3.25 + 0.5 * np.arange(support)
+    region = one_halfspace(np.ones(support), 0.5)
+    for start in (None, 1e-300, 1e-3, 2.2, 2.25, 2.3, 50.0, 1e12):
+        assert multiplier(HARD, 1.0, l, region, start) == np.nextafter(2.25, np.inf)
+
+
+@pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
+def test_multiplier_search_stops_at_the_least_feasible_float(reg):
+    rng = np.random.default_rng(56)
+    for _ in range(4):
+        l = rng.exponential(2.0, size=30)
+        region = CurriculumRegion("halfspace", (general_halfspace(rng, reg, l, 12),))
+        balance, b = computed_balance(reg, 1.0, l, region), region.offsets[0]
+        root = multiplier(reg, 1.0, l, region)
+        assert root > 0.0
+        assert_least_feasible(balance, b, root)
+        for start in (0.0, 1e-300, 1e12, 3.0 * root, root * (1.0 - 1e-7)):
+            beta = multiplier(reg, 1.0, l, region, start)
+            assert_least_feasible(balance, b, beta)
+            assert beta == root  # B rounds monotonically: one least feasible float
 
 
 # ==== halfspace duals =========================================================
@@ -454,19 +539,15 @@ def test_log_fits_under_a_one_halfspace_intersection(seed):
 
 
 def test_penalized_halfspace_v_step_looks_up_the_free_weights_once(monkeypatch):
-    events = []  # the size of every weight lookup, and "search" when one starts
+    sizes = []  # the size of every weight lookup
     weight = SPRegularizer.weight
 
     def counted_weight(self, lam, l):
-        events.append(np.size(l))
+        sizes.append(np.size(l))
         return weight(self, lam, l)
 
-    def counted_balance(*args, **kwargs):
-        events.append("search")
-        return support_balance(*args, **kwargs)
-
     monkeypatch.setattr(SPRegularizer, "weight", counted_weight)
-    monkeypatch.setattr(curriculum, "support_balance", counted_balance)
+    balances = recorded_balance_calls(monkeypatch)
     n = 50
     l = np.linspace(0.1, 5.0, n)
     k = np.zeros(n)
@@ -474,8 +555,10 @@ def test_penalized_halfspace_v_step_looks_up_the_free_weights_once(monkeypatch):
     region = CurriculumRegion("halfspace", (Halfspace(k, 2.5),))
     got = v_step(l, 1.0, EXP, region)
     assert float(got @ k) >= 2.5 - 1e-9
-    assert events[: events.index("search")] == [n]
-    assert events[-1] == n  # the constrained weights
+    assert sizes[0] == n  # the free weights, before any lookup on the support
+    assert len(sizes) > 3 and sizes[1:-1] == [5] * (len(sizes) - 2)  # the search
+    assert [x.size for x in balances] == sizes[1:]
+    assert sizes[-1] == n  # the constrained weights
 
 
 def test_halfspace_v_step_with_full_support_at_n_1e5():
@@ -529,7 +612,7 @@ def test_infeasible_offset_still_raises_through_the_precheck():
 
 
 def test_bracket_stops_at_rounding_when_the_tolerance_is_below_it():
-    # beta near 3e7 has a spacing of 3.7e-9, coarser than the 1e-10 tolerance
+    # floats near beta = 3e7 lie 3.7e-9 apart: the search stops at that spacing
     l = np.array([3e7, 1.0])
     res = affine_action(EXP, 1.0, l, Halfspace(np.array([1.0, 0.0]), 0.5))
     assert res.weights[0] >= 0.5
@@ -661,60 +744,26 @@ def test_v_step_from_any_start_agrees_with_the_cold_one(reg):
             assert np.allclose(got, cold, rtol=0, atol=1e-9)
 
 
+# the most balance evaluations that a start far from the root may cost beyond a
+# cold search (measured: at most 19, for linear), and that a warm search in
+# test_warm_halfspace_v_step_makes_few_balance_calls may cost (measured: 10 or 11)
+FAR_START_EXTRA = 20
+WARM_SEARCH_CAP = 14
+
+
 @pytest.mark.parametrize("reg", STRICT, ids=lambda r: r.name)
-def test_a_start_far_from_the_root_costs_about_a_cold_search(reg):
+def test_a_start_far_from_the_root_costs_about_a_cold_search(reg, monkeypatch):
     rng = np.random.default_rng(55)
+    calls = recorded_balance_calls(monkeypatch)
     for l, region in dual_problems(rng, reg):
-        h = region.halfspaces[0]
-        balance, width = support_balance(reg, 1.0, l, h.k)
-        calls = []
-
-        def counted(betas):
-            calls.append(1)
-            return balance(betas)
-
-        hi = max(1.0, float(np.linalg.norm(l)) / float(np.linalg.norm(h.k)))
-        root = balance_root(counted, h.b, hi, width, 1e-10)
+        region = CurriculumRegion("halfspace", region.halfspaces[:1])
+        root = multiplier(reg, 1.0, l, region)
         cold = len(calls)
         for start in (1e-300, 1e12, 1e3 * root, 1e-3 * root):
             calls.clear()
-            assert abs(balance_root(counted, h.b, hi, width, 1e-10, start=start) - root) <= 1e-10
-            assert len(calls) <= cold + 2  # the first call misses, then the ladder
-
-
-def test_balance_root_with_a_start_keeps_the_zero_and_no_root_cases():
-    balance, width = support_balance(EXP, 1.0, np.array([0.5, 1.0]), np.array([1.0, 0.0]))
-    for start in (None, 1e-300, 0.3, 1e12):
-        assert balance_root(balance, 0.1, 1.0, width, 1e-10, start=start) == 0.0
-        with pytest.raises(curriculum.NoRoot):
-            balance_root(balance, 1.5, 1.0, width, 1e-10, max_doublings=10, start=start)
-
-
-@pytest.mark.parametrize("start", [None, 5.0, 1e-3, 2000.0])
-def test_balance_root_raises_no_root_exactly_above_the_last_doubling(start):
-    # the search gives up past hi * 2**max_doublings = 1024, as the doubling did
-    for jump, found in ((1000.0, True), (1023.9, True), (1024.5, False)):
-        def balance(betas):
-            return (np.asarray(betas) >= jump).astype(float)
-
-        if found:
-            got = balance_root(balance, 0.5, 1.0, 64, 1e-9, max_doublings=10, start=start)
-            assert jump <= got <= jump + 1e-9
-        else:
-            with pytest.raises(curriculum.NoRoot):
-                balance_root(balance, 0.5, 1.0, 64, 1e-9, max_doublings=10, start=start)
-
-
-@pytest.mark.parametrize("width", [1, 7, 64])
-def test_balance_root_finds_the_jump_of_a_step_balance_from_any_start(width):
-    l, k = np.array([3.25]), np.array([1.0])
-    balance, _ = support_balance(HARD, 1.0, l, k)
-    jump = 2.25
-    for start in (None, 1e-300, 1e-3, 2.2, 2.25, 2.3, 50.0, 1e12):
-        for tol in (1e-3, 1e-9, 1e-12):
-            hi = balance_root(balance, 0.5, 1.0, width, tol, start=start)
-            assert balance(np.array([hi]))[0] >= 0.5
-            assert jump <= hi <= jump + tol
+            assert multiplier(reg, 1.0, l, region, start) == root
+            assert len(calls) <= cold + FAR_START_EXTRA
+        calls.clear()
 
 
 def test_warm_halfspace_v_step_makes_few_balance_calls(monkeypatch):
@@ -733,28 +782,20 @@ def test_warm_halfspace_v_step_makes_few_balance_calls(monkeypatch):
     lam = float(np.median(l[clean]))
     assert float(EXP.weight(lam, l) @ k) < region.offsets[0]  # the constraint binds
 
-    calls = []
-
-    def counted(reg, lam, l, k, support=None):
-        balance, width = support_balance(reg, lam, l, k, support)
-
-        def count(betas):
-            calls.append(np.size(betas))
-            return balance(betas)
-
-        return count, width
-
-    monkeypatch.setattr(curriculum, "support_balance", counted)
+    calls = recorded_balance_calls(monkeypatch)
     warm = region.warm_copy()
     v_step(l, lam, EXP, warm)
     for _ in range(5):
         l = l * (1.0 + 0.002 * rng.normal(size=n))  # the next iterate's losses
         calls.clear()
         got = v_step(l, lam, EXP, warm)
-        assert len(calls) <= 4
-        # both betas lie within the relative 1e-15 bracket of the root, and
+        searched = len(calls) - 1  # the last call looks up the constrained weights
+        calls.clear()
+        cold = v_step(l, lam, EXP, region)
+        assert searched < len(calls) - 1
+        assert searched <= WARM_SEARCH_CAP
         # exp's weights move by at most 1/lam per unit of beta
-        assert np.allclose(got, v_step(l, lam, EXP, region), rtol=0, atol=1e-10 / lam)
+        assert np.allclose(got, cold, rtol=0, atol=1e-10 / lam)
         assert_feasible(got, region)
 
 
