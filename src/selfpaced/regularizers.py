@@ -15,10 +15,11 @@ The age parameter lam > 0 enters only through the scaling contract
     latent(lam, l) = lam * latent_base(l / lam)
 
 so every regularizer here automatically satisfies the age scaling laws.
-Two design pipelines construct new entries: design_from_weight integrates a
-monotone weight curve into its latent function and recovers the penalty,
-while design_from_regularizer differentiates a convex penalty into weight
-and latent functions.  validate_sp_regularizer re-derives each view from
+Two design pipelines construct new entries: design_from_weight samples a
+monotone weight curve, and design_from_regularizer differentiates a convex
+penalty into its loss map.  Both end in one exact form: a continuous
+piecewise-linear weight, its integral as the latent and that latent's
+conjugate as the penalty.  validate_sp_regularizer re-derives each view from
 the others and reports the residuals.
 """
 
@@ -84,28 +85,6 @@ def _sample_or_inf(fn: Callable, xs: np.ndarray) -> np.ndarray:
             except Exception:
                 out[i] = np.inf
     return np.where(np.isnan(out), np.inf, out)
-
-
-def _invert_nonincreasing(xs: np.ndarray, ys: np.ndarray, t, side: str) -> np.ndarray:
-    """Inverse of the piecewise-linear non-increasing map x -> y at levels t.
-
-    side='left' resolves flat segments to their minimal x, side='right' to
-    their maximal x.  Levels above the range clamp to xs[0], below it to
-    xs[-1].
-    """
-    t = np.asarray(t, dtype=float)
-    idx = np.searchsorted(-ys, -t, side=side)
-    out = np.empty(t.shape)
-    low = idx == 0
-    high = idx == ys.size
-    mid = ~low & ~high
-    out[low] = xs[0]
-    out[high] = xs[-1]
-    i = idx[mid]
-    denom = ys[i - 1] - ys[i]
-    frac = np.where(denom > 0, (ys[i - 1] - t[mid]) / np.where(denom > 0, denom, 1.0), 0.0)
-    out[mid] = xs[i - 1] + frac * (xs[i] - xs[i - 1])
-    return out
 
 
 def _maybe_scalar(out: np.ndarray, scalar_in: bool):
@@ -329,21 +308,62 @@ def get_regularizer(name: str) -> SPRegularizer:
     raise BadParam(f"unknown regularizer {name!r}; choose from hard/linear/log/exp")
 
 
-# ==== design pipeline: weight -> latent -> penalty ============================
+# ==== design pipelines: one exact piecewise form ==============================
+
+
+def _piecewise_regularizer(
+    name: str, ls: np.ndarray, ws: np.ndarray, r_min: float = 0.0
+) -> SPRegularizer:
+    """The regularizer whose weight is the continuous piecewise-linear curve
+    through the knots (ls[k], ws[k]), held at ws[-1] past the last knot.
+
+    ls is nondecreasing from 0, and a repeated knot is a jump, where the
+    weight takes its lower value; ws is nonincreasing in [0, 1].  The latent
+    is the weight's exact integral, piecewise quadratic.  The penalty is the
+    latent's exact conjugate r(v) = sup_{l >= 0} {latent(l) - v * l} + r_min:
+    on the piece where the weight falls from ws[k], at c_k = dl/dw loss per
+    unit of weight (0 at a jump), the sup sits at l = ls[k] + c_k * (v - ws[k])
+    and is latent(ls[k]) - v * ls[k] - c_k * (v - ws[k])^2 / 2.  It is r_min
+    from ws[0] to 1, and +inf below ws[-1], where the latent outgrows v * l.
+    """
+    dl, dw = np.diff(ls), np.diff(ws)
+    # per piece, the tail last: dw/dl (0 at a jump) and dl/dw (0 where the weight is flat)
+    slope = np.append(np.divide(dw, dl, out=np.zeros_like(dw), where=dl > 0), 0.0)
+    run = np.append(np.divide(dl, dw, out=np.zeros_like(dl), where=dw < 0), 0.0)
+    at_knots = np.concatenate(([0.0], np.cumsum(0.5 * (ws[1:] + ws[:-1]) * dl)))
+
+    def piece(l):
+        la = np.asarray(l, dtype=float)
+        k = np.maximum(np.searchsorted(ls, la, side="right") - 1, 0)
+        return k, la - ls[k]
+
+    def weight(l):
+        k, d = piece(np.minimum(l, ls[-1]))  # constant past the last knot, an infinite loss too
+        return ws[k] + slope[k] * d
+
+    def latent(l):
+        k, d = piece(l)
+        return at_knots[k] + (ws[k] + 0.5 * slope[k] * d) * d
+
+    def penalty(v):
+        va = np.asarray(v, dtype=float)
+        vc = np.minimum(va, ws[0])
+        k = np.searchsorted(-ws, -vc, side="right") - 1  # ws[k] >= vc > ws[k + 1]
+        dv = vc - ws[k]
+        inside = at_knots[k] - vc * ls[k] - 0.5 * run[k] * dv * dv + r_min
+        return np.where((va < ws[-1]) | (va > 1.0), np.inf, inside)
+
+    return SPRegularizer(name, penalty, weight, latent, r_base_min=float(r_min))
 
 
 def design_from_weight(w: Callable, l_max: float = 8.0, n: int = _DEFAULT_GRID_N) -> SPRegularizer:
     """Build a regularizer from a monotone weight curve w(l) on [0, l_max].
 
-    The latent function is the running trapezoid integral of w, a
-    piecewise-linear function with one knot per grid cell.  The other two
-    views are derived exactly from it, so the returned triple is mutually
-    consistent to machine precision: the weight view is the latent's exact
-    derivative (the per-cell average of w, a right-continuous step
-    function), and the penalty is the exact transform
-    r(v) = sup_l { latent(l) - v * l }, again piecewise linear with one
-    knot per cell at v = (cell slope), value latent_k - v * l_k, convex by
-    construction.
+    The weight view is the continuous piecewise-linear interpolant of w on n
+    evenly spaced losses, clipped into [0, 1] and made nonincreasing, and
+    held at w(l_max) beyond; the latent is its exact integral and the penalty
+    the latent's exact conjugate (see _piecewise_regularizer), +inf below
+    w(l_max).  So the three views agree to machine precision.
 
     Raises BadParam for fewer than 3 grid points or an l_max that is not
     finite and positive, NotMonotone if w increases anywhere on the grid and
@@ -370,63 +390,21 @@ def design_from_weight(w: Callable, l_max: float = 8.0, n: int = _DEFAULT_GRID_N
             f"weight at l_max={l_max} is {wv[-1]:.3g} > 1e-3; latent tail stays linear",
             WeightTail,
         )
-
-    wc = np.clip(wv, 0.0, 1.0)
-    latent_grid = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (wc[1:] + wc[:-1]) * np.diff(grid)))
-    )
-    w_end, latent_end = float(wc[-1]), float(latent_grid[-1])
-    slopes = np.diff(latent_grid) / np.diff(grid)
-
-    def latent_base(l):
-        la = np.asarray(l, dtype=float)
-        inside = np.interp(la, grid, latent_grid)
-        return np.where(la <= l_max, inside, latent_end + w_end * (la - l_max))
-
-    def weight_base(l):
-        la = np.asarray(l, dtype=float)
-        idx = np.clip(np.searchsorted(grid, la, side="right") - 1, 0, n - 2)
-        inside = slopes[idx]
-        return np.where(la >= l_max, w_end, np.where(la < 0.0, 1.0, inside))
-
-    # exact transform of the piecewise-linear latent: knots at the cell
-    # slopes (non-increasing in l, hence increasing when traversed from
-    # the tail), values latent_k - slope_k * l_k
-    knot_v = slopes[::-1]
-    knot_r = (latent_grid[:-1] - slopes * grid[:-1])[::-1]
-    # cover v = 0 (sup sits at l_max) and v = 1 (sup sits at l = 0, value 0)
-    knot_v = np.concatenate(([0.0], knot_v, [1.0]))
-    knot_r = np.concatenate(([latent_end], knot_r, [0.0]))
-    keep = np.concatenate(([True], np.diff(knot_v) > 0))
-    knot_v, knot_r = knot_v[keep], knot_r[keep]
-
-    def r_base(v):
-        va = np.asarray(v, dtype=float)
-        inside = np.interp(va, knot_v, knot_r)
-        return np.where((va < 0) | (va > 1), np.inf, inside)
-
-    return SPRegularizer(
-        "designed-from-weight",
-        r_base,
-        weight_base,
-        latent_base,
-        r_base_min=float(r_base(np.array(1.0))),
-    )
-
-
-# ==== design pipeline: penalty -> weight -> latent ============================
+    knots = np.minimum.accumulate(np.clip(wv, 0.0, 1.0))
+    return _piecewise_regularizer("designed-from-weight", grid, knots)
 
 
 def design_from_regularizer(r: Callable, n: int = _DEFAULT_GRID_N) -> SPRegularizer:
     """Build a regularizer from a convex penalty r(v) with domain in [0, 1].
 
     The loss map l(v) is the (set-valued, non-increasing) derivative of -r,
-    estimated from secant slopes at cell midpoints and extrapolated to the
-    domain endpoints.  The weight function inverts that map: flat segments
-    resolve to their minimal weight for l > 0 and to their maximal weight at
-    l = 0, so that a zero-loss sample always receives full weight.  The
-    latent function follows from the identity
-    latent(l) = weight(l) * l + r(weight(l)), shifted to 0 at l = 0.
+    read from secant slopes at cell midpoints and extrapolated to the domain
+    ends.  Its pieces, read from loss to weight, are the knots of a
+    continuous piecewise-linear weight (an affine stretch of r becomes a
+    jump), cut at l = 0, where a zero-loss sample takes the largest weight
+    whose loss is 0 or more.  The latent is that weight's exact integral and
+    the penalty its exact conjugate plus min r (see _piecewise_regularizer),
+    which differs from r by the grid's interpolation error.
 
     Raises BadParam for fewer than 3 grid points, NotConvex when the secant
     slopes of r decrease, and BadDomain when the finite domain does not
@@ -457,51 +435,27 @@ def design_from_regularizer(r: Callable, n: int = _DEFAULT_GRID_N) -> SPRegulari
     slopes = np.diff(ys) / np.diff(xs)
     mids = 0.5 * (xs[:-1] + xs[1:])
     neg_slopes = -slopes  # derivative of -r, non-increasing in v
-    if mids.size >= 2:
-        y_lo = neg_slopes[0] + (neg_slopes[0] - neg_slopes[1]) * (
-            (mids[0] - xs[0]) / (mids[1] - mids[0])
-        )
-        y_hi = neg_slopes[-1] - (neg_slopes[-2] - neg_slopes[-1]) * (
-            (xs[-1] - mids[-1]) / (mids[-1] - mids[-2])
-        )
-        y_lo = max(y_lo, neg_slopes[0])
-        y_hi = min(y_hi, neg_slopes[-1])
-    else:
-        y_lo = y_hi = neg_slopes[0]
+    y_lo = neg_slopes[0] + (neg_slopes[0] - neg_slopes[1]) * (
+        (mids[0] - xs[0]) / (mids[1] - mids[0])
+    )
+    y_hi = neg_slopes[-1] - (neg_slopes[-2] - neg_slopes[-1]) * (
+        (xs[-1] - mids[-1]) / (mids[-1] - mids[-2])
+    )
+    y_lo = max(y_lo, neg_slopes[0])
+    y_hi = min(y_hi, neg_slopes[-1])
     knot_x = np.concatenate(([xs[0]], mids, [xs[-1]]))
     knot_y = np.concatenate(([y_lo], neg_slopes, [y_hi]))
 
-    r_fn = _as_vectorized(r)
-    v_lo, v_hi = float(xs[0]), float(xs[-1])
-
-    def weight_base(l):
-        la = np.asarray(l, dtype=float)
-        res = _invert_nonincreasing(knot_x, knot_y, la, side="left")
-        if np.any(la == 0.0):
-            res_max = _invert_nonincreasing(knot_x, knot_y, la, side="right")
-            res = np.where(la == 0.0, res_max, res)
-        return np.clip(res, 0.0, 1.0)
-
-    def r_eval(v):
-        return np.asarray(r_fn(np.clip(v, v_lo, v_hi)), dtype=float)
-
-    shift = float(r_eval(weight_base(np.array(0.0))))
-
-    def latent_base(l):
-        la = np.asarray(l, dtype=float)
-        vv = weight_base(la)
-        return vv * la + r_eval(vv) - shift
-
-    def r_base(v):
-        va = np.asarray(v, dtype=float)
-        return np.where((va < v_lo - 1e-12) | (va > v_hi + 1e-12), np.inf, r_eval(va))
-
-    return SPRegularizer(
+    # (loss, weight) knots, losses nondecreasing, cut at l = 0
+    ls = np.maximum.accumulate(knot_y[::-1])
+    ws = knot_x[::-1]
+    w0 = np.interp(0.0, -ls[::-1], knot_x)  # at repeated zeros, interp takes the last v
+    keep = ls > 0
+    return _piecewise_regularizer(
         "designed-from-penalty",
-        r_base,
-        weight_base,
-        latent_base,
-        r_base_min=float(ys.min()),
+        np.concatenate(([0.0], ls[keep])),
+        np.concatenate(([w0], ws[keep])),
+        r_min=float(ys.min()),
     )
 
 

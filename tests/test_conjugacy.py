@@ -20,7 +20,7 @@ from selfpaced.errors import BadGrid, EmptyOverlap, NonProper
 from selfpaced import conjugacy
 from selfpaced.cli import _write_table_csv
 from selfpaced.oracles import conjugate_scan, random_concave
-from selfpaced.regularizers import design_from_regularizer, get_regularizer
+from selfpaced.regularizers import get_regularizer
 
 
 def pl(grid, values):
@@ -333,17 +333,15 @@ def test_sup_convolution_scans_only_nonconcave_inputs(scans):
     assert np.array_equal(sup_convolution(f, g, out_grid=out).values, want)
 
 
-def test_designed_latent_off_its_hull_convolves_exactly_with_exp(scans):
-    # the designed penalty c|1-v|^q/q + (1-c)(v log v - v + 1) at c = 0.8 has
-    # a latent that is non-concave by about 1.6e-11 on its flat tail
-    def penalty(v):
-        v = np.asarray(v, dtype=float)
-        entropy = v * np.log(np.where(v > 0, v, 1.0)) - v + 1.0
-        return 0.8 * np.abs(1.0 - v) ** 2.5 / 2.5 + 0.2 * np.where(v > 0, entropy, 1.0)
-
-    lgrid = np.linspace(0.0, 8.0, 1025)
-    latent = pl(lgrid, design_from_regularizer(penalty).latent(1.0, lgrid))
-    exp = pl(lgrid, get_regularizer("exp").latent(1.0, lgrid))
+def test_latent_off_its_hull_convolves_exactly_with_exp(scans):
+    # exp's latent is exactly 1.0 in floats past l = 37, so a 1e-11 dent there
+    # leaves the samples off their upper hull by more than its 1e-12 tolerance
+    lgrid = np.linspace(0.0, 40.0, 1025)
+    values = get_regularizer("exp").latent(1.0, lgrid)
+    values[1000] -= 1e-11
+    latent = pl(lgrid, values)
+    exp_grid = np.linspace(0.0, 8.0, 1025)
+    exp = pl(exp_grid, get_regularizer("exp").latent(1.0, exp_grid))
     hull = conjugacy._upper_hull(lgrid, latent.values)
     assert not conjugacy._on_hull(lgrid, latent.values, *hull)
     assert_matches_brute_force(latent, exp, sup_convolution(latent, exp))
